@@ -26,6 +26,7 @@ from .states import (
     GaussianStateSpec,
     GridSpec,
     SqueezeDynamics,
+    _gaussian_density,
     center_state,
     eval_pure_density,
     quadrature_shape,
@@ -114,20 +115,7 @@ def eval_mixed_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Den
     separation Gaussian; P = 1 therefore reproduces eval_pure_density
     elementwise.
     """
-    grid.require_coverage(spec)
-    osc = spec.osc
-    s2 = osc.ground_variance
-    P = spec.purity_product
-    A, B = quadrature_shape(spec.squeeze, osc.angular_frequency, t)
-    x_c, p_c = center_state(spec.center, osc, t)
-    x = grid.points()
-    s = 0.5 * (x[:, None] + x[None, :]) - x_c
-    d = x[:, None] - x[None, :]
-    rho = (np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
-                  - 1j * B * s * d / (2.0 * s2 * A)
-                  + 1j * p_c * d / osc.hbar)
-           / np.sqrt(2.0 * np.pi * s2 * A))
-    return DensityMatrixSample(grid=grid, values=rho, time=t)
+    return _gaussian_density(spec, grid, t, spec.purity_product)
 
 
 def _member_matrix(spec: MixedGaussianSpec, x: np.ndarray, t: float,
@@ -196,8 +184,7 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     target = reparameterize(spec)
     grid.require_coverage(target)
     if spec.sigma_a == 0.0:
-        pure = eval_pure_density(spec.base, grid, t)
-        return DensityMatrixSample(grid=grid, values=pure.values, time=t)
+        return eval_pure_density(spec.base, grid, t)
     if method == "monte-carlo":
         rho = _monte_carlo_density(spec, grid, t, n_samples, seed)
     elif method == "gauss-hermite":

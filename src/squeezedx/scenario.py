@@ -9,9 +9,10 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,8 +86,8 @@ def _number(obj: dict, key: str, ctx: str, default=None) -> float:
     if key not in obj:
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{ctx}.{key} must be a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ParseError(f"{ctx}.{key} must be a number (finite), got {v!r}")
     return float(v)
 
 
@@ -104,10 +105,8 @@ class Scenario:
     """A fully validated scenario, ready to run."""
 
     name: str
-    osc: OscillatorConfig
-    squeeze: SqueezeDynamics
-    center: CenterTrajectory
-    sigma_a: float
+    spec: GaussianStateSpec  # A0 and P include any classical spread
+    mixed: MixedGaussianSpec | None  # None for a pure state
     grid: GridSpec
     scheme: str
     dt: float
@@ -115,25 +114,38 @@ class Scenario:
     outputs: tuple
     ensemble_nodes: int
     mc_check: bool
+    _fidelities: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def osc(self) -> OscillatorConfig:
+        return self.spec.osc
 
     @property
     def is_mixed(self) -> bool:
-        return self.sigma_a > 0.0
+        return self.mixed is not None
 
-    @property
-    def base_spec(self) -> GaussianStateSpec:
-        return GaussianStateSpec(self.osc, self.squeeze, self.center)
+    def fidelities(self) -> tuple:
+        """Fidelity of the propagated state against the closed form at each sample time.
 
-    @property
-    def mixed_spec(self) -> MixedGaussianSpec:
-        return MixedGaussianSpec(self.base_spec, sigma_a=self.sigma_a)
-
-    @property
-    def working_spec(self) -> GaussianStateSpec:
-        """GaussianStateSpec whose A0 and P include any classical spread."""
-        if self.is_mixed:
-            return reparameterize(self.mixed_spec)
-        return self.base_spec
+        Pure states only.  Propagation advances by whole steps, so each
+        comparison happens at the nearest reachable step time; numeric and
+        analytic states are always evaluated at the same instant.  The
+        trajectory is propagated once per instance and kept for later calls.
+        """
+        if self._fidelities is None:
+            psi = eval_pure_wavefunction(self.spec, self.grid, 0.0)
+            done_steps = 0
+            fids = []
+            for t in self.sample_times:
+                target = round(t / self.dt)
+                if target > done_steps:
+                    cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt,
+                                           n_steps=target - done_steps)
+                    psi = propagate(psi, self.osc, cfg)
+                    done_steps = target
+                fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
+            object.__setattr__(self, "_fidelities", tuple(fids))
+        return self._fidelities
 
 
 def _parse_scenario(obj: dict) -> Scenario:
@@ -177,15 +189,15 @@ def _parse_scenario(obj: dict) -> Scenario:
     )
 
     sigma_a = _number(obj, "sigma_a", ctx, 0.0)
-    if sigma_a < 0:
-        raise InvariantError(f"{ctx}: mixing invariant sigma_a >= 0 violated: sigma_a={sigma_a}")
-
-    base = GaussianStateSpec(osc, squeeze, center)
-    working = reparameterize(MixedGaussianSpec(base, sigma_a)) if sigma_a > 0 else base
+    mixed = MixedGaussianSpec(GaussianStateSpec(osc, squeeze, center), sigma_a)
+    if sigma_a > 0:
+        spec = reparameterize(mixed)
+    else:
+        spec, mixed = mixed.base, None
 
     g_obj = obj.get("grid")
     if g_obj is None:
-        grid = GridSpec.for_state(working, n_points=256 if sigma_a > 0 else 1024)
+        grid = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
     else:
         _check_keys(g_obj, {"x_min", "x_max", "n_points"}, {"x_min", "x_max", "n_points"},
                     f"{ctx}.grid")
@@ -194,7 +206,7 @@ def _parse_scenario(obj: dict) -> Scenario:
             x_max=_number(g_obj, "x_max", f"{ctx}.grid"),
             n_points=_integer(g_obj, "n_points", f"{ctx}.grid"),
         )
-        grid.require_coverage(working)
+        grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
@@ -210,12 +222,20 @@ def _parse_scenario(obj: dict) -> Scenario:
         if not isinstance(times_obj, list) or not times_obj:
             raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
         for v in times_obj:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ParseError(f"{ctx}.sample_times must contain numbers, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ParseError(f"{ctx}.sample_times must contain finite numbers, got {v!r}")
         times = tuple(float(v) for v in times_obj)
         if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(
                 f"{ctx}: sample_times invariant violated: times must be >= 0 and strictly increasing"
+            )
+    if not mixed:
+        # a pure state is propagated to step round(t/dt) for each sample time
+        steps = [0] + [round(t / dt) for t in times if t > 0]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise InvariantError(
+                f"{ctx}: propagator dt={dt!r} does not resolve sample_times: every positive "
+                "time must land on its own step round(t/dt) >= 1"
             )
 
     outputs_obj = obj["outputs"]
@@ -224,14 +244,17 @@ def _parse_scenario(obj: dict) -> Scenario:
     for p in outputs_obj:
         if p not in PRODUCTS:
             raise ParseError(f"{ctx}.outputs contains unknown product {p!r}; expected {PRODUCTS}")
+    if mixed and "wavefunction" in outputs_obj:
+        raise InvariantError(
+            f"{ctx}: wavefunction product requires a pure state (P = 1): P = {spec.purity_product!r}"
+        )
 
     ensemble_nodes = _integer(obj, "ensemble_nodes", ctx, 32)
     mc_check = obj.get("mc_check", False)
     if not isinstance(mc_check, bool):
         raise ParseError(f"{ctx}.mc_check must be a boolean")
 
-    return Scenario(name=name, osc=osc, squeeze=squeeze, center=center,
-                    sigma_a=sigma_a, grid=grid, scheme=scheme, dt=dt,
+    return Scenario(name=name, spec=spec, mixed=mixed, grid=grid, scheme=scheme, dt=dt,
                     sample_times=times, outputs=tuple(outputs_obj),
                     ensemble_nodes=ensemble_nodes, mc_check=mc_check)
 
@@ -265,29 +288,9 @@ def parse_config(text: str) -> list:
 # ---------------------------------------------------------------------------
 
 def density_at(sc: Scenario, t: float) -> DensityMatrixSample:
-    spec = sc.working_spec
     if sc.is_mixed:
-        return eval_mixed_density(spec, sc.grid, t)
-    return eval_pure_density(spec, sc.grid, t)
-
-
-def _propagated_states(sc: Scenario):
-    """Numeric/analytic state pairs near each sample time.
-
-    Propagation advances by whole steps, so each comparison happens at the
-    nearest reachable step time; numeric and analytic states are always
-    evaluated at the same instant.
-    """
-    spec = sc.working_spec
-    psi = eval_pure_wavefunction(spec, sc.grid, 0.0)
-    done_steps = 0
-    for t in sc.sample_times:
-        target = int(round(t / sc.dt))
-        if target > done_steps:
-            cfg = PropagatorConfig(scheme=sc.scheme, dt=sc.dt, n_steps=target - done_steps)
-            psi = propagate(psi, sc.osc, cfg)
-            done_steps = target
-        yield psi, eval_pure_wavefunction(spec, sc.grid, psi.time)
+        return eval_mixed_density(sc.spec, sc.grid, t)
+    return eval_pure_density(sc.spec, sc.grid, t)
 
 
 def emit_timeseries(sc: Scenario, path: Path) -> None:
@@ -296,12 +299,10 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
     phi and fidelity_numeric are blank for mixed states (a mixed density
     matrix carries no global phase and is not propagated here).
     """
-    spec = sc.working_spec
+    spec = sc.spec
     omega = sc.osc.angular_frequency
     rows = []
-    fidelities = None
-    if not sc.is_mixed:
-        fidelities = [fidelity(num, ana) for num, ana in _propagated_states(sc)]
+    fidelities = None if sc.is_mixed else sc.fidelities()
     for i, t in enumerate(sc.sample_times):
         A, B = quadrature_shape(spec.squeeze, omega, t)
         x_c, p_c = center_state(spec.center, sc.osc, t)
@@ -324,13 +325,7 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
 
 def write_wavefunction_dump(sc: Scenario, t: float, path: Path) -> None:
     """Header ``n_points,x_min,x_max,t`` then one ``x,re,im`` row per point."""
-    spec = sc.working_spec
-    if sc.is_mixed:
-        raise InvariantError(
-            "wavefunction product requires a pure state (P = 1): "
-            f"P = {spec.purity_product!r}"
-        )
-    wf = eval_pure_wavefunction(spec, sc.grid, t)
+    wf = eval_pure_wavefunction(sc.spec, sc.grid, t)
     x = sc.grid.points()
     with open(path, "w", newline="") as fh:
         fh.write(f"{sc.grid.n_points},{_fmt(sc.grid.x_min)},{_fmt(sc.grid.x_max)},{_fmt(t)}\n")
@@ -373,7 +368,7 @@ def _check(lines, name, label, ok, detail):
 
 
 def _verify_pure(sc: Scenario, lines: list) -> None:
-    spec = sc.working_spec
+    spec = sc.spec
     osc = sc.osc
     omega = osc.angular_frequency
     times = np.asarray(sc.sample_times)
@@ -416,15 +411,13 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
             _check(lines, sc.name, "ground-phase", gerr <= 1e-12,
                    f"max |phi - phi(0) - omega t / 2| = {gerr:.3e}, tol 1e-12")
 
-    worst = 1.0
-    for num, ana in _propagated_states(sc):
-        worst = min(worst, fidelity(num, ana))
+    worst = min(sc.fidelities())
     _check(lines, sc.name, "propagation-fidelity", worst >= 1.0 - 1e-6,
            f"min fidelity = {worst:.9f}, tol 1 - 1e-06")
 
 
 def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
-    spec = sc.working_spec
+    spec = sc.spec
     P = spec.purity_product
     probe = [sc.sample_times[0], sc.sample_times[len(sc.sample_times) // 2], sc.sample_times[-1]]
 
@@ -437,11 +430,10 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
     _check(lines, sc.name, "purity-law", pur_err <= 1e-5,
            f"max |purity - P^-1/2| = {pur_err:.3e}, tol 1e-05")
 
-    mspec = sc.mixed_spec
     try:
         ens_err = 0.0
         for t, dm in zip(probe[:2], dms[:2]):
-            ens = ensemble_average_density(mspec, sc.grid, t, sc.ensemble_nodes)
+            ens = ensemble_average_density(sc.mixed, sc.grid, t, sc.ensemble_nodes)
             peak = float(np.abs(dm.values).max())
             ens_err = max(ens_err, float(np.abs(ens.values - dm.values).max()) / peak)
         _check(lines, sc.name, "ensemble-agreement", ens_err <= 1e-8,
@@ -452,7 +444,7 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
     if sc.mc_check:
         t = probe[0]
         dm = dms[0]
-        ens = ensemble_average_density(mspec, sc.grid, t, method="monte-carlo", seed=seed)
+        ens = ensemble_average_density(sc.mixed, sc.grid, t, method="monte-carlo", seed=seed)
         peak = float(np.abs(dm.values).max())
         rms = float(np.sqrt(np.mean(np.abs(ens.values - dm.values) ** 2))) / peak
         _check(lines, sc.name, "mc-agreement", rms <= 1e-3,
@@ -513,8 +505,6 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345,
 def run_scenarios(scenarios, out_dir: Path, seed: int = 12345,
                   verify_only: bool = False):
     """Run scenarios in parallel; results come back in input order."""
-    if len(scenarios) == 1:
-        return [run_scenario(scenarios[0], out_dir, seed, verify_only)]
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
         futures = [pool.submit(run_scenario, sc, out_dir, seed, verify_only)
                    for sc in scenarios]

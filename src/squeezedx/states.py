@@ -432,13 +432,14 @@ def eval_pure_wavefunction(spec: GaussianStateSpec, grid: GridSpec, t: float) ->
     return WavefunctionSample(grid=grid, values=_pure_psi(spec, grid.points(), t), time=t)
 
 
-def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> DensityMatrixSample:
-    """Pure density matrix rho(x,x') = psi(x) psi*(x') in factored form.
+def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
+                      P: float) -> DensityMatrixSample:
+    """Gaussian density matrix in factored form, P multiplying the separation Gaussian.
 
     The factors separate the mean coordinate sum s = (x+x')/2 - x_c and the
-    separation d = x - x'; the global phase cancels.
+    separation d = x - x'; P = 1 is the pure state psi(x) psi*(x'), whose
+    global phase cancels.
     """
-    _require_pure(spec, "pure density evaluation")
     grid.require_coverage(spec)
     osc = spec.osc
     s2 = osc.ground_variance
@@ -447,11 +448,17 @@ def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Dens
     x = grid.points()
     s = 0.5 * (x[:, None] + x[None, :]) - x_c
     d = x[:, None] - x[None, :]
-    rho = (np.exp(-(s * s + 0.25 * d * d) / (2.0 * s2 * A)
+    rho = (np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
                   - 1j * B * s * d / (2.0 * s2 * A)
                   + 1j * p_c * d / osc.hbar)
            / np.sqrt(2.0 * np.pi * s2 * A))
     return DensityMatrixSample(grid=grid, values=rho, time=t)
+
+
+def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> DensityMatrixSample:
+    """Pure density matrix rho(x,x') = psi(x) psi*(x') in factored form."""
+    _require_pure(spec, "pure density evaluation")
+    return _gaussian_density(spec, grid, t, 1.0)
 
 
 # ---------------------------------------------------------------------------

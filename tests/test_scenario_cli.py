@@ -1,5 +1,6 @@
 """Scenario parsing, product files, verification report, CLI exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import squeezedx as sx
-from squeezedx import cli
+from squeezedx import cli, scenario
 from squeezedx.scenario import (
     density_at,
     parse_config,
@@ -158,6 +159,19 @@ class TestTimeseries:
             fid = float(row.split(",")[11])
             assert fid >= 1.0 - 1e-6
 
+    def test_timeseries_and_verify_share_one_propagation(self, tmp_path, monkeypatch):
+        steps = []
+        real_propagate = scenario.propagate
+
+        def counting_propagate(psi, osc, cfg):
+            steps.append(cfg.n_steps)
+            return real_propagate(psi, osc, cfg)
+
+        monkeypatch.setattr(scenario, "propagate", counting_propagate)
+        sc = parse_one(FAST_PURE)
+        assert run_scenario(sc, tmp_path).verified
+        assert sum(steps) == round(sc.sample_times[-1] / sc.dt)
+
     def test_seventeen_digit_cells_round_trip_exactly(self, tmp_path):
         # %.17g guarantees a double survives text round-trip bit for bit
         sc = parse_one(FAST_MIXED)
@@ -256,6 +270,14 @@ class TestCLI:
         cfg.write_text(json.dumps({"name": "m", "squeeze": {"A0": 1.0},
                                    "outputs": ["verify"], "oops": True}))
         assert self.run_cli("run", cfg, "--out-dir", tmp_path) == 2
+        # JSON NaN and Infinity are rejected before anything runs
+        out = tmp_path / "out"
+        for bad in (dict(FAST_MIXED, sigma_a=float("nan")),
+                    dict(FAST_PURE, propagator={"dt": float("inf")}),
+                    dict(FAST_PURE, sample_times=[0.0, float("nan"), 1.0])):
+            cfg.write_text(json.dumps(bad))
+            assert self.run_cli("run", cfg, "--out-dir", out) == 2
+            assert not list(out.glob("*"))
 
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -263,6 +285,22 @@ class TestCLI:
                                    "outputs": ["verify"]}))
         assert self.run_cli("run", cfg, "--out-dir", tmp_path) == 3
         assert "A0 > dA" in capsys.readouterr().err
+        out = tmp_path / "out"
+        displaced = {"name": "d", "squeeze": {"initial_variance_D": 1.0},
+                     "center": {"X_amp": 1.0}, "outputs": ["timeseries", "verify"]}
+        for bad, message in (
+                # 3 rounds to step 0: the trajectory would compare psi(0) with psi(0)
+                (dict(displaced, propagator={"dt": 10.0}, sample_times=[0.0, 3.0]),
+                 "does not resolve sample_times"),
+                # 1.2 and 1.4 both round to step 1
+                (dict(displaced, propagator={"dt": 1.0}, sample_times=[0.0, 1.2, 1.4]),
+                 "does not resolve sample_times"),
+                (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
+                 "wavefunction product requires a pure state")):
+            cfg.write_text(json.dumps(bad))
+            assert self.run_cli("run", cfg, "--out-dir", out) == 3
+            assert message in capsys.readouterr().err
+            assert not list(out.glob("*"))
 
     def test_missing_config_exit_2(self, tmp_path):
         assert self.run_cli("run", tmp_path / "nope.json", "--out-dir", tmp_path) == 2
@@ -288,3 +326,11 @@ class TestBundledScenarios:
     def test_bundled_configs_parse(self, name):
         scs = parse_config((SCENARIOS / f"{name}.json").read_text())
         assert scs[0].name == name
+
+    @pytest.mark.parametrize("name", ["squeezed_vacuum", "mixed_p4"])
+    def test_run_reproduces_recorded_digests(self, name, tmp_path):
+        recorded = json.loads((REPO / "perfbench" / "digests.json").read_text())[name]
+        assert cli.main(["run", str(SCENARIOS / f"{name}.json"),
+                         "--out-dir", str(tmp_path), "--quiet"]) == 0
+        digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in recorded}
+        assert digests == recorded

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
             from .scenario import density_at
             args.out_dir.mkdir(parents=True, exist_ok=True)
             for sc in scenarios:
-                path = args.out_dir / f"{sc.name}_density_t{args.time:.6g}.csv"
+                path = sc.dump_path(args.out_dir, "density", args.time)
                 write_density_dump(density_at(sc, args.time), path)
                 _emit(f"wrote {path}", args.quiet)
             return EXIT_OK

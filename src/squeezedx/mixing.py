@@ -41,21 +41,20 @@ __all__ = [
     "gaussian_identity_exponential",
 ]
 
-CENTER_AGREEMENT_TOL = 1e-12
+# Largest peak-relative change node doubling may make to a Gauss-Hermite result.
+CONVERGENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class MixedGaussianSpec:
     """A pure base state plus a classical Gaussian spread of its center.
 
-    ``mean_center`` is the (x_c, p_c) mean at t = 0, stored redundantly for
-    clarity; it must agree with the base trajectory.  sigma_a = 0 reduces
+    The mean center follows the base trajectory.  sigma_a = 0 reduces
     exactly to the pure case.
     """
 
     base: GaussianStateSpec
     sigma_a: float = 0.0
-    mean_center: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if not self.base.is_pure:
@@ -64,17 +63,6 @@ class MixedGaussianSpec:
             )
         if not self.sigma_a >= 0.0:
             raise InvariantError(f"mixing invariant sigma_a >= 0 violated: sigma_a={self.sigma_a}")
-        derived = center_state(self.base.center, self.base.osc, 0.0)
-        if self.mean_center is None:
-            object.__setattr__(self, "mean_center", derived)
-        else:
-            scale = max(1.0, abs(derived[0]), abs(derived[1]))
-            if (abs(self.mean_center[0] - derived[0]) > CENTER_AGREEMENT_TOL * scale
-                    or abs(self.mean_center[1] - derived[1]) > CENTER_AGREEMENT_TOL * scale):
-                raise InvariantError(
-                    "stored mean center disagrees with the base trajectory at t=0: "
-                    f"stored={self.mean_center}, derived={derived}"
-                )
 
     @property
     def spread_ratio(self) -> float:
@@ -87,24 +75,21 @@ class MixedGaussianSpec:
 
     @property
     def purity_product(self) -> float:
-        dA = self.base.squeeze.dA
-        return (self.A0_tilde + dA) * (self.A0_tilde - dA)
+        return reparameterize(self).purity_product
 
 
 def reparameterize(spec: MixedGaussianSpec) -> GaussianStateSpec:
     """Fold the classical spread into the shape parameters.
 
     A0 grows by sigma_a^2/sigma_gr^2; dA, phi_sq and the (mean) center are
-    unchanged; P is computed here, once, and stored on the result.
-    Idempotent for sigma_a = 0.
+    unchanged, so the result's P is (A0'+dA)(A0'-dA).  Idempotent for
+    sigma_a = 0.
     """
     sq = spec.base.squeeze
-    squeeze = SqueezeDynamics(A0=spec.A0_tilde, dA=sq.dA, phi_sq=sq.phi_sq)
     return GaussianStateSpec(
         osc=spec.base.osc,
-        squeeze=squeeze,
+        squeeze=SqueezeDynamics(A0=spec.A0_tilde, dA=sq.dA, phi_sq=sq.phi_sq),
         center=spec.base.center,
-        purity_product=squeeze.purity_product,
     )
 
 
@@ -171,15 +156,14 @@ def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
 def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                              n_nodes: int = 32, *, method: str = "gauss-hermite",
                              n_samples: int = 100_000, seed: int = 12345,
-                             check_convergence: bool = True,
-                             convergence_tol: float = 1e-8) -> DensityMatrixSample:
+                             check_convergence: bool = True) -> DensityMatrixSample:
     """Brute-force average of pure density matrices over the center spread.
 
     Gauss-Hermite tensor quadrature (n_nodes per axis, >= 16) by default;
     ``method="monte-carlo"`` draws ``n_samples`` centers with a fixed seed
     instead.  With ``check_convergence`` the Gauss-Hermite result is compared
     against a node-doubled rule and a ConvergenceError is raised if they
-    disagree beyond ``convergence_tol`` relative to the matrix peak.
+    disagree beyond CONVERGENCE_TOL relative to the matrix peak.
     """
     target = reparameterize(spec)
     grid.require_coverage(target)
@@ -195,11 +179,11 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
             rho_fine = _gauss_hermite_density(spec, grid, t, 2 * n_nodes)
             peak = np.abs(rho_fine).max()
             drift = np.abs(rho - rho_fine).max() / peak
-            if drift > convergence_tol:
+            if drift > CONVERGENCE_TOL:
                 raise ConvergenceError(
                     f"ensemble quadrature not converged at {n_nodes} nodes/axis: "
                     f"node doubling moves the result by {drift:.3e} of peak "
-                    f"(tolerance {convergence_tol:g}); increase n_nodes"
+                    f"(tolerance {CONVERGENCE_TOL:g}); increase n_nodes"
                 )
     else:
         raise InvariantError(f"unknown ensemble method {method!r}")

@@ -61,6 +61,11 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
+# Parse-time bounds, checked before anything is allocated: one N x N complex
+# density at 4096 points takes 256 MiB; 2**20 steps are 128 periods at dt = T/8192.
+MAX_GRID_POINTS = 4096
+MAX_STEPS = 2**20
+
 
 def _fmt(value) -> str:
     """17 significant digits; blank for missing values; no negative zero."""
@@ -82,13 +87,20 @@ def _check_keys(obj: dict, allowed: set, required: set, ctx: str) -> None:
         raise ParseError(f"missing required key(s) in {ctx}: {sorted(missing)}")
 
 
+def _finite(v, what: str) -> float:
+    """``v`` as a finite float; a ParseError otherwise, also for integers too large for a float."""
+    try:
+        if not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ParseError(f"{what} must be a number (finite), got {v!r}")
+
+
 def _number(obj: dict, key: str, ctx: str, default=None) -> float:
     if key not in obj:
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ParseError(f"{ctx}.{key} must be a number (finite), got {v!r}")
-    return float(v)
+    return _finite(obj[key], f"{ctx}.{key}")
 
 
 def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
@@ -124,6 +136,10 @@ class Scenario:
     def is_mixed(self) -> bool:
         return self.mixed is not None
 
+    def dump_path(self, out_dir: Path, product: str, t: float) -> Path:
+        """File of the ``product`` ("wavefunction" or "density") dump at time t."""
+        return out_dir / f"{self.name}_{product}_t{t:.6g}.csv"
+
     def fidelities(self) -> tuple:
         """Fidelity of the propagated state against the closed form at each sample time.
 
@@ -137,7 +153,7 @@ class Scenario:
             done_steps = 0
             fids = []
             for t in self.sample_times:
-                target = round(t / self.dt)
+                target = _step(t, self.dt)
                 if target > done_steps:
                     cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt,
                                            n_steps=target - done_steps)
@@ -146,6 +162,11 @@ class Scenario:
                 fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
             object.__setattr__(self, "_fidelities", tuple(fids))
         return self._fidelities
+
+
+def _step(t: float, dt: float) -> int:
+    """The propagation step whose time is nearest to t."""
+    return round(t / dt)
 
 
 def _parse_scenario(obj: dict) -> Scenario:
@@ -191,7 +212,10 @@ def _parse_scenario(obj: dict) -> Scenario:
     sigma_a = _number(obj, "sigma_a", ctx, 0.0)
     mixed = MixedGaussianSpec(GaussianStateSpec(osc, squeeze, center), sigma_a)
     if sigma_a > 0:
-        spec = reparameterize(mixed)
+        try:
+            spec = reparameterize(mixed)
+        except OverflowError as exc:  # sigma_a**2 beyond the float range
+            raise InvariantError(f"{ctx}: sigma_a={sigma_a!r} is out of range: {exc}") from exc
     else:
         spec, mixed = mixed.base, None
 
@@ -201,10 +225,13 @@ def _parse_scenario(obj: dict) -> Scenario:
     else:
         _check_keys(g_obj, {"x_min", "x_max", "n_points"}, {"x_min", "x_max", "n_points"},
                     f"{ctx}.grid")
+        n_points = _integer(g_obj, "n_points", f"{ctx}.grid")
+        if n_points > MAX_GRID_POINTS:
+            raise InvariantError(f"{ctx}.grid: n_points={n_points} exceeds {MAX_GRID_POINTS}")
         grid = GridSpec(
             x_min=_number(g_obj, "x_min", f"{ctx}.grid"),
             x_max=_number(g_obj, "x_max", f"{ctx}.grid"),
-            n_points=_integer(g_obj, "n_points", f"{ctx}.grid"),
+            n_points=n_points,
         )
         grid.require_coverage(spec)
 
@@ -221,17 +248,17 @@ def _parse_scenario(obj: dict) -> Scenario:
     else:
         if not isinstance(times_obj, list) or not times_obj:
             raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
-        for v in times_obj:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ParseError(f"{ctx}.sample_times must contain finite numbers, got {v!r}")
-        times = tuple(float(v) for v in times_obj)
+        times = tuple(_finite(v, f"{ctx}.sample_times entry") for v in times_obj)
         if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(
                 f"{ctx}: sample_times invariant violated: times must be >= 0 and strictly increasing"
             )
     if not mixed:
         # a pure state is propagated to step round(t/dt) for each sample time
-        steps = [0] + [round(t / dt) for t in times if t > 0]
+        if not times[-1] / dt <= MAX_STEPS:
+            raise InvariantError(f"{ctx}: propagator dt={dt!r} needs {times[-1] / dt:.3g} "
+                                 f"steps to reach t={times[-1]!r}, more than {MAX_STEPS}")
+        steps = [0] + [_step(t, dt) for t in times if t > 0]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise InvariantError(
                 f"{ctx}: propagator dt={dt!r} does not resolve sample_times: every positive "
@@ -266,7 +293,7 @@ def parse_config(text: str) -> list:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals beyond Python's digit limit
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if isinstance(doc, dict) and "scenarios" in doc:
         _check_keys(doc, {"scenarios"}, {"scenarios"}, "config")
@@ -302,19 +329,14 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
     spec = sc.spec
     omega = sc.osc.angular_frequency
     rows = []
-    fidelities = None if sc.is_mixed else sc.fidelities()
-    for i, t in enumerate(sc.sample_times):
+    fidelities = [None] * len(sc.sample_times) if sc.is_mixed else sc.fidelities()
+    for t, fid in zip(sc.sample_times, fidelities):
         A, B = quadrature_shape(spec.squeeze, omega, t)
         x_c, p_c = center_state(spec.center, sc.osc, t)
         dm = density_at(sc, t)
         mom = moments(dm, sc.osc)
         pur = purity(dm)
-        if sc.is_mixed:
-            phi = None
-            fid = None
-        else:
-            phi = accumulated_phase(spec.squeeze, spec.center, sc.osc, t)
-            fid = fidelities[i]
+        phi = None if sc.is_mixed else accumulated_phase(spec.squeeze, spec.center, sc.osc, t)
         rows.append((t, A, B, phi, x_c, p_c, mom.var_x, mom.var_p, mom.cov_xp,
                      mom.uncertainty_product, pur, fid))
     with open(path, "w", newline="") as fh:
@@ -336,11 +358,13 @@ def write_wavefunction_dump(sc: Scenario, t: float, path: Path) -> None:
 def write_density_dump(dm: DensityMatrixSample, path: Path) -> None:
     """Header ``n_points,x_min,x_max,t`` then n_points^2 ``re,im`` rows, row-major."""
     g = dm.grid
-    flat = dm.values.ravel()
-    data = np.column_stack([flat.real, flat.imag])
+    # plain %.17g, unlike _fmt, keeps negative zeros; each row is read as re, im pairs
+    row_fmt = "%.17g,%.17g\n" * g.n_points
+    parts = np.ascontiguousarray(dm.values).view(np.float64)
     with open(path, "w", newline="") as fh:
         fh.write(f"{g.n_points},{_fmt(g.x_min)},{_fmt(g.x_max)},{_fmt(dm.time)}\n")
-        np.savetxt(fh, data, fmt="%.17g", delimiter=",", newline="\n")
+        for row in parts:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def read_density_dump(path: Path) -> DensityMatrixSample:
@@ -362,9 +386,17 @@ def read_density_dump(path: Path) -> DensityMatrixSample:
 # verification
 # ---------------------------------------------------------------------------
 
-def _check(lines, name, label, ok, detail):
-    lines.append((bool(ok), f"[{name}] {label}: {'PASS' if ok else 'FAIL'} ({detail})"))
-    return bool(ok)
+def _check(lines, name, label, what, value, tol) -> None:
+    """Record the check ``what = value`` against ``tol``: passes iff value <= tol (NaN fails)."""
+    ok = bool(value <= tol)
+    lines.append((ok, f"[{name}] {label}: {'PASS' if ok else 'FAIL'} "
+                      f"({what} = {value:.3e}, tol {tol:g}, margin {tol - value:.3e})"))
+
+
+def _probe_times(sc: Scenario) -> list:
+    """First, middle and last sample time."""
+    times = sc.sample_times
+    return [times[0], times[len(times) // 2], times[-1]]
 
 
 def _verify_pure(sc: Scenario, lines: list) -> None:
@@ -375,60 +407,46 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
 
     samples = [eval_pure_wavefunction(spec, sc.grid, t) for t in sc.sample_times]
     norm_err = max(abs(s.norm() - 1.0) for s in samples)
-    _check(lines, sc.name, "norm-conservation", norm_err <= 1e-8,
-           f"max |norm-1| = {norm_err:.3e}, tol 1e-08")
+    _check(lines, sc.name, "norm-conservation", "max |norm-1|", norm_err, 1e-8)
 
-    r1, r2, r3 = ode_residuals(spec.squeeze, osc, times)
-    rmax = float(np.max([r1, r2, r3]))
-    _check(lines, sc.name, "ode-residuals", rmax <= 1e-6,
-           f"max residual = {rmax:.3e}, tol 1e-06")
+    rmax = float(np.max(ode_residuals(spec.squeeze, osc, times)))
+    _check(lines, sc.name, "ode-residuals", "max residual", rmax, 1e-6)
 
-    probe = [sc.sample_times[0], sc.sample_times[len(sc.sample_times) // 2], sc.sample_times[-1]]
-    res = max(schrodinger_residual(spec, sc.grid, t) for t in probe)
-    _check(lines, sc.name, "schrodinger-residual", res <= 1e-5,
-           f"max residual = {res:.3e}, tol 1e-05")
+    res = max(schrodinger_residual(spec, sc.grid, t) for t in _probe_times(sc))
+    _check(lines, sc.name, "schrodinger-residual", "max residual", res, 1e-5)
 
     s2 = osc.ground_variance
     var_err = 0.0
     for t, s in zip(sc.sample_times, samples):
         A, _ = quadrature_shape(spec.squeeze, omega, t)
         var_err = max(var_err, abs(moments(s, osc).var_x - s2 * A) / (s2 * A))
-    _check(lines, sc.name, "variance-law", var_err <= 1e-8,
-           f"max rel |var_x - sigma_gr^2 A| = {var_err:.3e}, tol 1e-08")
+    _check(lines, sc.name, "variance-law", "max rel |var_x - sigma_gr^2 A|", var_err, 1e-8)
 
     if spec.center.X_amp == 0.0:
         dphi = (accumulated_phase(spec.squeeze, spec.center, osc, times + np.pi / omega)
                 - accumulated_phase(spec.squeeze, spec.center, osc, times))
         phase_err = float(np.abs(dphi - np.pi / 2).max())
-        _check(lines, sc.name, "phase-law", phase_err <= 1e-9,
-               f"max |dphi - pi/2| = {phase_err:.3e}, tol 1e-09")
+        _check(lines, sc.name, "phase-law", "max |dphi - pi/2|", phase_err, 1e-9)
         if spec.squeeze.dA == 0.0:
             # constant-width states accumulate phase at exactly omega/2
             # (phi(0) is a phi_sq-dependent constant)
             phi = accumulated_phase(spec.squeeze, spec.center, osc, times)
             phi0 = accumulated_phase(spec.squeeze, spec.center, osc, 0.0)
             gerr = float(np.abs(phi - phi0 - omega * times / 2).max())
-            _check(lines, sc.name, "ground-phase", gerr <= 1e-12,
-                   f"max |phi - phi(0) - omega t / 2| = {gerr:.3e}, tol 1e-12")
+            _check(lines, sc.name, "ground-phase", "max |phi - phi(0) - omega t / 2|", gerr, 1e-12)
 
-    worst = min(sc.fidelities())
-    _check(lines, sc.name, "propagation-fidelity", worst >= 1.0 - 1e-6,
-           f"min fidelity = {worst:.9f}, tol 1 - 1e-06")
+    _check(lines, sc.name, "propagation-fidelity", "1 - min fidelity",
+           1.0 - min(sc.fidelities()), 1e-6)
 
 
 def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
-    spec = sc.spec
-    P = spec.purity_product
-    probe = [sc.sample_times[0], sc.sample_times[len(sc.sample_times) // 2], sc.sample_times[-1]]
-
-    dms = [eval_mixed_density(spec, sc.grid, t) for t in probe]
+    probe = _probe_times(sc)
+    dms = [eval_mixed_density(sc.spec, sc.grid, t) for t in probe]
     tr_err = max(abs(dm.trace() - 1.0) for dm in dms)
-    _check(lines, sc.name, "trace", tr_err <= 1e-8,
-           f"max |trace-1| = {tr_err:.3e}, tol 1e-08")
+    _check(lines, sc.name, "trace", "max |trace-1|", tr_err, 1e-8)
 
-    pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(P)) for dm in dms)
-    _check(lines, sc.name, "purity-law", pur_err <= 1e-5,
-           f"max |purity - P^-1/2| = {pur_err:.3e}, tol 1e-05")
+    pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
+    _check(lines, sc.name, "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5)
 
     try:
         ens_err = 0.0
@@ -436,19 +454,18 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
             ens = ensemble_average_density(sc.mixed, sc.grid, t, sc.ensemble_nodes)
             peak = float(np.abs(dm.values).max())
             ens_err = max(ens_err, float(np.abs(ens.values - dm.values).max()) / peak)
-        _check(lines, sc.name, "ensemble-agreement", ens_err <= 1e-8,
-               f"max peak-relative error = {ens_err:.3e} at {sc.ensemble_nodes} nodes, tol 1e-08")
+        _check(lines, sc.name, "ensemble-agreement",
+               f"max peak-relative error at {sc.ensemble_nodes} nodes", ens_err, 1e-8)
     except ConvergenceError as exc:
-        _check(lines, sc.name, "ensemble-agreement", False, str(exc))
+        lines.append((False, f"[{sc.name}] ensemble-agreement: FAIL ({exc})"))
 
     if sc.mc_check:
-        t = probe[0]
-        dm = dms[0]
-        ens = ensemble_average_density(sc.mixed, sc.grid, t, method="monte-carlo", seed=seed)
-        peak = float(np.abs(dm.values).max())
-        rms = float(np.sqrt(np.mean(np.abs(ens.values - dm.values) ** 2))) / peak
-        _check(lines, sc.name, "mc-agreement", rms <= 1e-3,
-               f"peak-relative rms = {rms:.3e} at 1e5 samples, seed {seed}, tol 1e-03")
+        rho = dms[0].values
+        ens = ensemble_average_density(sc.mixed, sc.grid, probe[0], method="monte-carlo",
+                                       seed=seed)
+        rms = float(np.sqrt(np.mean(np.abs(ens.values - rho) ** 2))) / float(np.abs(rho).max())
+        _check(lines, sc.name, "mc-agreement",
+               f"peak-relative rms at 1e5 samples, seed {seed}", rms, 1e-3)
 
 
 def verify_scenario(sc: Scenario, seed: int = 12345):
@@ -485,15 +502,13 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345,
             path = out_dir / f"{sc.name}_timeseries.csv"
             emit_timeseries(sc, path)
             files.append(path)
-        elif product == "wavefunction":
+        elif product in ("wavefunction", "density"):
             t = sc.sample_times[-1]
-            path = out_dir / f"{sc.name}_wavefunction_t{t:.6g}.csv"
-            write_wavefunction_dump(sc, t, path)
-            files.append(path)
-        elif product == "density":
-            t = sc.sample_times[-1]
-            path = out_dir / f"{sc.name}_density_t{t:.6g}.csv"
-            write_density_dump(density_at(sc, t), path)
+            path = sc.dump_path(out_dir, product, t)
+            if product == "wavefunction":
+                write_wavefunction_dump(sc, t, path)
+            else:
+                write_density_dump(density_at(sc, t), path)
             files.append(path)
         elif product == "verify":
             ok, check_lines = verify_scenario(sc, seed=seed)

@@ -48,12 +48,15 @@ __all__ = [
     "schrodinger_residual",
 ]
 
-# Stored-redundant quantities (purity product, mean centers) must agree
-# with their defining expressions to this tolerance.
+# Rounding allowance on the purity product P = (A0+dA)(A0-dA): P >= 1 - tol
+# is admissible and |P - 1| <= tol marks a pure state.
 REDUNDANCY_TOL = 1e-12
 
 # Trapezoid norm of a wavefunction sample must be 1 to within this.
 NORM_TOL = 1e-8
+
+# Central-difference step of the residual diagnostics, in units of 1/omega.
+FD_STEP = 1e-6
 
 # Grids must extend at least this many maximal standard deviations past
 # the classical turning points of the state they sample.
@@ -69,9 +72,13 @@ class OscillatorConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and self.angular_frequency > 0 and self.hbar > 0):
+        # 2 m omega can underflow to 0 even when m and omega are positive
+        if not (self.mass > 0 and self.angular_frequency > 0 and self.hbar > 0
+                and 2.0 * self.mass * self.angular_frequency > 0.0
+                and 0.0 < self.ground_variance < np.inf and self.period < np.inf):
             raise InvariantError(
-                "oscillator constants must satisfy m > 0, omega > 0, hbar > 0: "
+                "oscillator constants must satisfy m > 0, omega > 0, hbar > 0, with a finite "
+                "positive ground variance hbar/(2 m omega) and a finite period: "
                 f"got m={self.mass}, omega={self.angular_frequency}, hbar={self.hbar}"
             )
 
@@ -132,27 +139,21 @@ class CenterTrajectory:
 class GaussianStateSpec:
     """Full description of a (possibly mixed) Gaussian oscillator state.
 
-    ``purity_product`` is stored redundantly and must agree with
-    (A0+dA)(A0-dA) to 1e-12; P = 1 marks a pure state.
+    The purity product P = (A0+dA)(A0-dA) comes from ``squeeze``; P = 1
+    marks a pure state.
     """
 
     osc: OscillatorConfig
     squeeze: SqueezeDynamics
     center: CenterTrajectory = field(default_factory=CenterTrajectory)
-    purity_product: float = None  # type: ignore[assignment]
 
-    def __post_init__(self):
-        if self.purity_product is None:
-            object.__setattr__(self, "purity_product", self.squeeze.purity_product)
-        elif abs(self.purity_product - self.squeeze.purity_product) > REDUNDANCY_TOL:
-            raise InvariantError(
-                "stored purity product disagrees with (A0+dA)(A0-dA): "
-                f"stored={self.purity_product}, derived={self.squeeze.purity_product}"
-            )
+    @property
+    def purity_product(self) -> float:
+        return self.squeeze.purity_product
 
     @property
     def is_pure(self) -> bool:
-        return abs(self.purity_product - 1.0) <= REDUNDANCY_TOL
+        return self.squeeze.is_pure
 
     def max_spatial_std(self) -> float:
         """Largest sqrt(sigma_gr^2 * A(t)) over a period."""
@@ -320,9 +321,10 @@ def squeeze_from_initial_variance(D: float, osc: OscillatorConfig) -> SqueezeDyn
     and the pure-state constraint fixes (A0, dA) uniquely with dA >= 0;
     narrow initial states (D < sigma_gr^2) get phi_sq = pi.
     """
-    if not D > 0:
-        raise InvariantError(f"initial variance must be positive: D={D}")
     a_init = D / osc.ground_variance
+    if not 0.0 < a_init < np.inf:
+        raise InvariantError(f"initial variance must be a positive, finite multiple of "
+                             f"sigma_gr^2 = {osc.ground_variance}: D={D}")
     A0 = 0.5 * (a_init + 1.0 / a_init)
     dA = 0.5 * abs(a_init - 1.0 / a_init)
     phi_sq = 0.0 if a_init >= 1.0 else np.pi
@@ -544,8 +546,7 @@ def moments(sample, osc: OscillatorConfig) -> Moments:
 # residual diagnostics
 # ---------------------------------------------------------------------------
 
-def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t,
-                  dt_fd: float | None = None):
+def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t):
     """Finite-difference residuals of the three defining ODEs, normalized by omega.
 
     r1:  dA/dt + 2 omega B = 0
@@ -556,8 +557,7 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t,
     residual is meaningful as a negative control for non-pure parameter sets.
     """
     omega = osc.angular_frequency
-    if dt_fd is None:
-        dt_fd = 1e-6 / omega
+    dt_fd = FD_STEP / omega
     t = np.asarray(t, dtype=float)
     A, B = quadrature_shape(sq, omega, t)
     Ap, Bp = quadrature_shape(sq, omega, t + dt_fd)
@@ -575,8 +575,7 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t,
     return r1, r2, r3
 
 
-def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float,
-                         dt_fd: float | None = None) -> float:
+def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float) -> float:
     """Relative L2 residual of the Schroedinger equation on the analytic state.
 
     The time derivative is a central difference of the closed form; the
@@ -586,8 +585,7 @@ def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float,
     _require_pure(spec, "Schroedinger residual")
     grid.require_coverage(spec)
     osc = spec.osc
-    if dt_fd is None:
-        dt_fd = 1e-6 / osc.angular_frequency
+    dt_fd = FD_STEP / osc.angular_frequency
     x = grid.points()
     psi = _pure_psi(spec, x, t)
     dpsi_dt = (_pure_psi(spec, x, t + dt_fd) - _pure_psi(spec, x, t - dt_fd)) / (2.0 * dt_fd)

@@ -36,17 +36,6 @@ class TestMixedGaussianSpec:
         with pytest.raises(sx.InvariantError, match="sigma_a >= 0"):
             sx.MixedGaussianSpec(base, sigma_a=-0.1)
 
-    def test_mean_center_defaults_to_base_trajectory(self):
-        ms = mixed(X_amp=2 * SGR, phi_c=0.3, sigma_a=SGR)
-        x0, p0 = sx.center_state(ms.base.center, OSC, 0.0)
-        assert ms.mean_center == (x0, p0)
-
-    def test_mean_center_must_agree_with_base(self):
-        base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0),
-                                    sx.CenterTrajectory(1.0, 0.0))
-        with pytest.raises(sx.InvariantError, match="mean center"):
-            sx.MixedGaussianSpec(base, sigma_a=0.1, mean_center=(0.5, 0.0))
-
     @given(A0=st.floats(1.0, 4.0), s=st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_purity_product_formula(self, A0, s):

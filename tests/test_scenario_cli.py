@@ -1,14 +1,17 @@
 """Scenario parsing, product files, verification report, CLI exit codes."""
 
+import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import squeezedx as sx
 from squeezedx import cli, scenario
@@ -40,6 +43,9 @@ FAST_MIXED = {
     "sample_times": [0.0, 0.7, 1.9],
     "outputs": ["timeseries", "density", "verify"],
 }
+
+
+CHECK_LINE = re.compile(r"^\[\S+\] \S+: (PASS|FAIL) \(.+ = \S+, tol \S+, margin \S+\)$")
 
 
 def parse_one(obj):
@@ -100,6 +106,61 @@ class TestParsing:
         bad = dict(FAST_PURE, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 64})
         with pytest.raises(sx.CoverageError):
             parse_one(bad)
+
+
+def _leaf_paths(obj, prefix=()):
+    """Key/index paths to every number, integer, boolean and list in a config."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return []
+    paths = [prefix] if isinstance(obj, list) else []
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            paths += _leaf_paths(value, prefix + (key,))
+        elif not isinstance(value, str):
+            paths.append(prefix + (key,))
+    return paths
+
+
+# Every optional number, integer and boolean key set to its default value,
+# so that each one is mutated too.
+FUZZ_BASES = (
+    dict(FAST_PURE, oscillator={"mass": 1.0, "angular_frequency": 1.0, "hbar": 1.0},
+         center={"X_amp": 0.0, "phi_c": 0.0}),
+    dict(FAST_MIXED, squeeze={"A0": 1.0, "dA": 0.0, "phi_sq": 0.0},
+         ensemble_nodes=32, mc_check=False),
+)
+
+HOSTILE = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -10**400,
+                     10**300, 2**64, 5e-324, -5e-324, 1e-320, 1e308, -1e308, 0, -1,
+                     True, False, None, "1", [], {}, [1.0], {"a": 1}]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**400, max_value=10**400),
+)
+
+
+class TestParserFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_config_parses_or_raises_config_error(self, data):
+        doc = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+        for path in data.draw(st.lists(st.sampled_from(_leaf_paths(doc)), min_size=1,
+                                       max_size=3)):
+            target = doc
+            try:
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = copy.deepcopy(data.draw(HOSTILE))
+            except (IndexError, KeyError, TypeError):
+                continue  # an earlier mutation replaced this path's parent
+        try:
+            parse_config(json.dumps(doc))
+        except (sx.ParseError, sx.InvariantError):
+            pass
 
 
 class TestTimeseries:
@@ -190,12 +251,19 @@ class TestVerify:
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
         assert {"norm-conservation", "ode-residuals", "schrodinger-residual",
                 "variance-law", "phase-law", "propagation-fidelity"} <= labels
+        assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
     def test_mixed_scenario_passes(self):
         ok, lines = verify_scenario(parse_one(FAST_MIXED))
         assert ok, lines
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
         assert {"trace", "purity-law", "ensemble-agreement"} <= labels
+        assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
+
+    def test_nan_value_fails(self):
+        lines = []
+        scenario._check(lines, "s", "some-law", "max error", float("nan"), 1e-8)
+        assert lines == [(False, "[s] some-law: FAIL (max error = nan, tol 1e-08, margin nan)")]
 
     def test_coherent_scenario_with_nonzero_squeeze_phase_passes(self):
         # dA = 0 with any phi_sq is a valid constant-width state; its phase
@@ -221,6 +289,22 @@ class TestDumps:
         assert abs(back.trace() - 1.0) <= 1e-8
         assert np.array_equal(back.values, dm.values)  # %.17g round-trips doubles
         assert back.time == dm.time
+
+    def test_density_dump_matches_savetxt_with_negative_zeros(self, tmp_path):
+        from squeezedx.scenario import write_density_dump
+        dm = density_at(parse_one(FAST_MIXED), 0.0)
+        values = dm.values.real + 0j
+        values.imag[::2] = -0.0
+        path = tmp_path / "dump.csv"
+        write_density_dump(sx.DensityMatrixSample(dm.grid, values, dm.time), path)
+        ref = tmp_path / "ref.csv"
+        flat = values.ravel()
+        np.savetxt(ref, np.column_stack([flat.real, flat.imag]), fmt="%.17g", delimiter=",",
+                   newline="\n")
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header == b"128,-12,12,0"
+        assert b",-0\n" in body
+        assert body == ref.read_bytes()
 
     def test_wavefunction_dump(self, tmp_path):
         run2 = dict(FAST_PURE, outputs=["wavefunction"])
@@ -274,7 +358,10 @@ class TestCLI:
         out = tmp_path / "out"
         for bad in (dict(FAST_MIXED, sigma_a=float("nan")),
                     dict(FAST_PURE, propagator={"dt": float("inf")}),
-                    dict(FAST_PURE, sample_times=[0.0, float("nan"), 1.0])):
+                    dict(FAST_PURE, sample_times=[0.0, float("nan"), 1.0]),
+                    # integers too large for a float
+                    dict(FAST_PURE, squeeze={"A0": 10**400}),
+                    dict(FAST_PURE, sample_times=[0, 10**400])):
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 2
             assert not list(out.glob("*"))
@@ -296,7 +383,16 @@ class TestCLI:
                 (dict(displaced, propagator={"dt": 1.0}, sample_times=[0.0, 1.2, 1.4]),
                  "does not resolve sample_times"),
                 (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
-                 "wavefunction product requires a pure state")):
+                 "wavefunction product requires a pure state"),
+                # t/dt overflows to infinity
+                (dict(displaced, propagator={"dt": 1e-320}, sample_times=[0.0, 1.0]),
+                 "more than 1048576"),
+                # 1e12 steps
+                (dict(displaced, propagator={"dt": 1e-12}, sample_times=[0.0, 1.0]),
+                 "more than 1048576"),
+                # one 4097 x 4097 complex density would take 256 MiB
+                (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 4097}),
+                 "n_points=4097 exceeds 4096")):
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 3
             assert message in capsys.readouterr().err

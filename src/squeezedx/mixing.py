@@ -16,6 +16,7 @@ oracle for that claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ __all__ = [
 
 # Largest peak-relative change node doubling may make to a Gauss-Hermite result.
 CONVERGENCE_TOL = 1e-8
+# Fewest Gauss-Hermite nodes per axis an ensemble average may use.
+MIN_ENSEMBLE_NODES = 16
+# Most complex values (8 MiB) in one block of ensemble member columns.
+BLOCK_VALUES = 2**19
 
 
 @dataclass(frozen=True)
@@ -103,26 +108,60 @@ def eval_mixed_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Den
     return _gaussian_density(spec, grid, t, spec.purity_product)
 
 
-def _member_matrix(spec: MixedGaussianSpec, x: np.ndarray, t: float,
+def _member_matrix(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                    dx0: np.ndarray, dp0: np.ndarray) -> np.ndarray:
     """Wavefunction columns for ensemble members with initial center offsets.
 
-    Each offset rotates classically to time t before evaluation; the global
-    phase is irrelevant because members enter as |psi><psi|.
+    Each offset rotates classically to time t.  With w = 4 sigma_gr^2 A, a
+    member's exponent -(x-x_c)^2 (1+iB)/w + i p_c x/hbar splits into a real
+    Gaussian exp(-(x-x_c)^2/w), a row factor exp(-iBx^2/w), a plane wave
+    exp(ikx) with k = 2B x_c/w + p_c/hbar, and a constant exp(-iB x_c^2/w).
+    The constant is dropped: like the global phase, it cancels because
+    members enter as |psi><psi|.  With L = ceil(sqrt(N)), the plane wave at
+    x_0 + (aL + b)h is a coarse table entry (a) times a fine one (b), so a
+    member costs about 2 sqrt(N) complex exponentials, not N.
     """
     base = spec.base
     osc = base.osc
     m_om = osc.mass * osc.angular_frequency
-    s2 = osc.ground_variance
     A, B = quadrature_shape(base.squeeze, osc.angular_frequency, t)
     xbar, pbar = center_state(base.center, osc, t)
     c, s = np.cos(osc.angular_frequency * t), np.sin(osc.angular_frequency * t)
     xc = xbar + dx0 * c + dp0 * s / m_om
     pc = pbar + dp0 * c - dx0 * m_om * s
-    u = x[:, None] - xc[None, :]
-    return ((2.0 * np.pi * s2 * A) ** -0.25
-            * np.exp(-u * u * (1.0 + 1j * B) / (4.0 * s2 * A)
-                     + 1j * pc[None, :] * x[:, None] / osc.hbar))
+    w = 4.0 * osc.ground_variance * A
+    k = 2.0 * B * xc / w + pc / osc.hbar
+
+    n, h = grid.n_points, grid.spacing
+    L = math.isqrt(n - 1) + 1
+    rows = n // L  # full coarse rows; the last one may be ragged
+    coarse = np.exp(1j * (grid.x_min + np.arange(-(-n // L)) * L * h)[:, None] * k)
+    fine = np.exp(1j * (np.arange(L) * h)[:, None] * k)
+    psi = np.empty((n, k.size), dtype=complex)
+    np.multiply(coarse[:rows, None], fine, out=psi[:rows * L].reshape(rows, L, k.size))
+    np.multiply(coarse[rows:], fine[:n - rows * L], out=psi[rows * L:])
+
+    x = grid.points()
+    psi *= ((2.0 * np.pi * osc.ground_variance * A) ** -0.25
+            * np.exp(-1j * B * x * x / w))[:, None]
+    amp = np.subtract.outer(x, xc)
+    np.square(amp, out=amp)
+    amp *= -1.0 / w
+    psi *= np.exp(amp, out=amp)
+    return psi
+
+
+def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
+                  dx0: np.ndarray, dp0: np.ndarray, weights: np.ndarray | float) -> np.ndarray:
+    """sum_m weights_m |psi_m><psi_m|, built BLOCK_VALUES member values at a time."""
+    weights = np.broadcast_to(weights, dx0.shape)
+    step = max(1, BLOCK_VALUES // grid.n_points)
+    rho = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    for i in range(0, dx0.size, step):
+        psi = _member_matrix(spec, grid, t, dx0[i:i + step], dp0[i:i + step])
+        scaled = psi * weights[i:i + step]
+        rho += scaled @ np.conjugate(psi, out=psi).T
+    return rho
 
 
 def _gauss_hermite_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -133,9 +172,7 @@ def _gauss_hermite_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     scale_x = np.sqrt(2.0) * spec.sigma_a
     scale_p = np.sqrt(2.0) * m_om * spec.sigma_a
     dx0, dp0 = np.meshgrid(scale_x * xi, scale_p * xi, indexing="ij")
-    weights = np.outer(wt, wt).ravel()
-    psi = _member_matrix(spec, grid.points(), t, dx0.ravel(), dp0.ravel())
-    return (psi * weights[None, :]) @ psi.conj().T
+    return _ensemble_sum(spec, grid, t, dx0.ravel(), dp0.ravel(), np.outer(wt, wt).ravel())
 
 
 def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -144,13 +181,7 @@ def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
     dx0 = rng.normal(0.0, spec.sigma_a, n_samples)
     dp0 = rng.normal(0.0, m_om * spec.sigma_a, n_samples)
-    x = grid.points()
-    rho = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    chunk = 8192
-    for k in range(0, n_samples, chunk):
-        psi = _member_matrix(spec, x, t, dx0[k:k + chunk], dp0[k:k + chunk])
-        rho += psi @ psi.conj().T
-    return rho / n_samples
+    return _ensemble_sum(spec, grid, t, dx0, dp0, 1.0 / n_samples)
 
 
 def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -159,21 +190,24 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                              check_convergence: bool = True) -> DensityMatrixSample:
     """Brute-force average of pure density matrices over the center spread.
 
-    Gauss-Hermite tensor quadrature (n_nodes per axis, >= 16) by default;
-    ``method="monte-carlo"`` draws ``n_samples`` centers with a fixed seed
-    instead.  With ``check_convergence`` the Gauss-Hermite result is compared
-    against a node-doubled rule and a ConvergenceError is raised if they
-    disagree beyond CONVERGENCE_TOL relative to the matrix peak.
+    Gauss-Hermite tensor quadrature (n_nodes per axis, >= MIN_ENSEMBLE_NODES)
+    by default; ``method="monte-carlo"`` draws ``n_samples`` centers with a
+    fixed seed instead.  With ``check_convergence`` the Gauss-Hermite result
+    is compared against a node-doubled rule and a ConvergenceError is raised
+    if they disagree beyond CONVERGENCE_TOL relative to the matrix peak.
     """
     target = reparameterize(spec)
     grid.require_coverage(target)
     if spec.sigma_a == 0.0:
         return eval_pure_density(spec.base, grid, t)
     if method == "monte-carlo":
+        if n_samples < 1:
+            raise InvariantError(f"Monte Carlo ensemble requires n_samples >= 1: got {n_samples}")
         rho = _monte_carlo_density(spec, grid, t, n_samples, seed)
     elif method == "gauss-hermite":
-        if n_nodes < 16:
-            raise InvariantError(f"ensemble quadrature requires n_nodes >= 16 per axis: got {n_nodes}")
+        if n_nodes < MIN_ENSEMBLE_NODES:
+            raise InvariantError(f"ensemble quadrature requires n_nodes >= {MIN_ENSEMBLE_NODES} "
+                                 f"per axis: got {n_nodes}")
         rho = _gauss_hermite_density(spec, grid, t, n_nodes)
         if check_convergence:
             rho_fine = _gauss_hermite_density(spec, grid, t, 2 * n_nodes)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantError, ParseError
 from .mixing import (
+    MIN_ENSEMBLE_NODES,
     MixedGaussianSpec,
     ensemble_average_density,
     eval_mixed_density,
@@ -62,9 +63,11 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 # Parse-time bounds, checked before anything is allocated: one N x N complex
-# density at 4096 points takes 256 MiB; 2**20 steps are 128 periods at dt = T/8192.
+# density at 4096 points takes 256 MiB; 2**20 steps are 128 periods at dt = T/8192;
+# 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536 members.
 MAX_GRID_POINTS = 4096
 MAX_STEPS = 2**20
+MAX_ENSEMBLE_NODES = 128
 
 
 def _fmt(value) -> str:
@@ -277,6 +280,9 @@ def _parse_scenario(obj: dict) -> Scenario:
         )
 
     ensemble_nodes = _integer(obj, "ensemble_nodes", ctx, 32)
+    if not MIN_ENSEMBLE_NODES <= ensemble_nodes <= MAX_ENSEMBLE_NODES:
+        raise InvariantError(f"{ctx}: ensemble_nodes={ensemble_nodes} is outside "
+                             f"{MIN_ENSEMBLE_NODES}..{MAX_ENSEMBLE_NODES}")
     mc_check = obj.get("mc_check", False)
     if not isinstance(mc_check, bool):
         raise ParseError(f"{ctx}.mc_check must be a boolean")

@@ -1,11 +1,14 @@
 """Ensemble-mixer tests: closed forms vs brute-force averaging and quadrature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import squeezedx as sx
+from squeezedx import mixing
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -207,6 +210,14 @@ class TestEnsembleAverage:
         with pytest.raises(sx.InvariantError, match="n_nodes >= 16"):
             sx.ensemble_average_density(ms, grid, 0.0, 8)
 
+    def test_rejects_no_samples(self):
+        ms = mixed(sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=128)
+        for n_samples in (0, -5):
+            with pytest.raises(sx.InvariantError, match="n_samples >= 1"):
+                sx.ensemble_average_density(ms, grid, 0.0, method="monte-carlo",
+                                            n_samples=n_samples)
+
     def test_monte_carlo_mode_agrees_at_statistical_tolerance(self):
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
         rp = sx.reparameterize(ms)
@@ -224,6 +235,82 @@ class TestEnsembleAverage:
         b = sx.ensemble_average_density(ms, grid, 0.4, method="monte-carlo",
                                         n_samples=2000, seed=7)
         assert np.array_equal(a.values, b.values)
+
+
+class TestMemberColumns:
+    @pytest.mark.parametrize("A0, phi_sq, X_ratio", [
+        (1.5, 0.0, 1.0), (1.5, np.pi, 20.0), (5.0, np.pi - 0.01, 30.0)])
+    def test_columns_are_the_members(self, A0, phi_sq, X_ratio):
+        # each column is the pure state whose center starts at the member's
+        # initial center, up to a phase: compare the projectors
+        ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=512)
+        m_om = OSC.mass * OSC.angular_frequency
+        rng = np.random.default_rng(41)
+        dx0 = rng.normal(0.0, ms.sigma_a, 40)
+        dp0 = rng.normal(0.0, m_om * ms.sigma_a, 40)
+        x0, p0 = sx.center_state(ms.base.center, OSC, 0.0)
+        members = [sx.GaussianStateSpec(OSC, ms.base.squeeze, sx.CenterTrajectory(
+            float(np.hypot(x, p / m_om)), float(np.arctan2(-p / m_om, x))))
+            for x, p in zip(x0 + dx0, p0 + dp0)]
+        worst_projector = worst_value = 0.0
+        for t in np.linspace(0.0, T, 9):
+            psi = mixing._member_matrix(ms, grid, t, dx0, dp0)
+            ref = np.stack([sx.eval_pure_wavefunction(m, grid, t).values for m in members], 1)
+            for col, want in zip(psi.T, ref.T):
+                expected = np.outer(want, want.conj())
+                err = np.abs(np.outer(col, col.conj()) - expected).max()
+                worst_projector = max(worst_projector, err / np.abs(expected).max())
+            # value by value, after aligning each column's phase at its peak,
+            # so that the far tails (the last, ragged plane-wave rows) count too
+            peak = np.abs(ref).argmax(axis=0), np.arange(ref.shape[1])
+            got = psi * np.conj(psi[peak] / np.abs(psi[peak]))
+            want = ref * np.conj(ref[peak] / np.abs(ref[peak]))
+            live = np.abs(want) > 1e-280
+            worst_value = max(worst_value, (np.abs(got - want)[live] / np.abs(want)[live]).max())
+        assert worst_projector <= 1e-11
+        assert worst_value <= 1e-10
+
+
+class TestEnsembleBlocks:
+    def test_blocks_agree_with_one_block(self, monkeypatch):
+        ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=128)
+        runs = {
+            "gh": lambda: sx.ensemble_average_density(ms, grid, 1.3, 32,
+                                                      check_convergence=False),
+            "mc": lambda: sx.ensemble_average_density(ms, grid, 1.3, method="monte-carlo",
+                                                      n_samples=2000, seed=3),
+        }
+        one = {name: run().values for name, run in runs.items()}
+
+        widths = []
+        member_matrix = mixing._member_matrix
+
+        def counted(spec, grid, t, dx0, dp0):
+            widths.append(dx0.size)
+            return member_matrix(spec, grid, t, dx0, dp0)
+
+        monkeypatch.setattr(mixing, "_member_matrix", counted)
+        monkeypatch.setattr(mixing, "BLOCK_VALUES", 300 * grid.n_points)
+        for name, members in (("gh", 32 * 32), ("mc", 2000)):
+            widths.clear()
+            blocked = runs[name]().values
+            assert widths == [300] * (members // 300) + [members % 300]
+            peak = np.abs(one[name]).max()
+            assert np.abs(blocked - one[name]).max() <= 1e-14 * peak
+
+    def test_monte_carlo_memory_is_bounded_by_the_block(self):
+        ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=256)
+        tracemalloc.start()
+        try:
+            sx.ensemble_average_density(ms, grid, 1.3, method="monte-carlo", n_samples=20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one member block is 8 MiB; building it all at once would take 78 MiB
+        assert peak <= 48 * 2**20
 
 
 class TestGaussianIdentities:

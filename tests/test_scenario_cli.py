@@ -392,7 +392,12 @@ class TestCLI:
                  "more than 1048576"),
                 # one 4097 x 4097 complex density would take 256 MiB
                 (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 4097}),
-                 "n_points=4097 exceeds 4096")):
+                 "n_points=4097 exceeds 4096"),
+                # Gauss-Hermite nodes per axis must lie in 16..128
+                (dict(FAST_MIXED, ensemble_nodes=8), "ensemble_nodes=8 is outside 16..128"),
+                (dict(FAST_MIXED, ensemble_nodes=129), "ensemble_nodes=129 is outside 16..128"),
+                (dict(FAST_MIXED, ensemble_nodes=10**30),
+                 f"ensemble_nodes={10**30} is outside 16..128")):
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 3
             assert message in capsys.readouterr().err

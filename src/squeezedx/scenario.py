@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +69,10 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 MAX_GRID_POINTS = 4096
 MAX_STEPS = 2**20
 MAX_ENSEMBLE_NODES = 128
+
+# One stepping loop at a time: a loop makes thousands of small numpy calls, and two
+# loops in the pool pass the GIL at each of them and run slower than back to back.
+_STEPPING = threading.Lock()
 
 
 def _fmt(value) -> str:
@@ -160,7 +165,8 @@ class Scenario:
                 if target > done_steps:
                     cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt,
                                            n_steps=target - done_steps)
-                    psi = propagate(psi, self.osc, cfg)
+                    with _STEPPING:
+                        psi = propagate(psi, self.osc, cfg)
                     done_steps = target
                 fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
             object.__setattr__(self, "_fidelities", tuple(fids))

@@ -241,7 +241,7 @@ class WavefunctionSample:
                 f"n_points={self.grid.n_points}"
             )
         norm = self.norm()
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantError(
                 f"wavefunction norm invariant violated: trapezoid norm = {norm!r}, "
                 f"must be 1 within {NORM_TOL:g}"
@@ -267,15 +267,16 @@ class DensityMatrixSample:
             )
         scale = float(np.abs(self.values).max())
         herm = float(np.abs(self.values - self.values.conj().T).max())
-        if herm > 1e-10 * max(scale, 1.0):
+        if not herm <= 1e-10 * max(scale, 1.0):
             raise InvariantError(
                 f"density Hermiticity invariant violated: max |rho - rho^H| = {herm!r}"
             )
         diag = np.diagonal(self.values)
-        if np.abs(diag.imag).max() > 1e-10 * max(scale, 1.0) or diag.real.min() < -1e-10 * scale:
+        if not (np.abs(diag.imag).max() <= 1e-10 * max(scale, 1.0)
+                and diag.real.min() >= -1e-10 * scale):
             raise InvariantError("density diagonal must be real and non-negative")
         tr = self.trace()
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise InvariantError(
                 f"density trace invariant violated: trapezoid trace = {tr!r}, "
                 f"must be 1 within {NORM_TOL:g}"

@@ -1,9 +1,13 @@
 """Numeric-oracle tests: propagators, fidelity, purity, energy."""
 
+import types
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import squeezedx as sx
+from squeezedx import oracle
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -15,6 +19,27 @@ SCHEMES = ("spectral-split-step", "implicit-unitary")
 
 def pure_squeeze(A0, phi_sq=0.0):
     return sx.SqueezeDynamics(A0, np.sqrt(A0**2 - 1.0), phi_sq)
+
+
+def reference_cayley(psi, grid, osc, dt, n_steps):
+    """The implicit-unitary step with (1 + lam H) solved afresh by solve_banded each step."""
+    n, h = grid.n_points, grid.spacing
+    kin = osc.hbar**2 / (2.0 * osc.mass * h * h)
+    diag = 2.0 * kin + 0.5 * osc.mass * osc.angular_frequency**2 * grid.points() ** 2
+    off = -kin
+    lam = 0.5j * dt / osc.hbar
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = lam * off
+    ab[1, :] = 1.0 + lam * diag
+    ab[2, :-1] = lam * off
+    psi = psi.astype(complex, copy=True)
+    rhs = np.empty(n, dtype=complex)
+    for _ in range(n_steps):
+        rhs[:] = (1.0 - lam * diag) * psi
+        rhs[:-1] -= lam * off * psi[1:]
+        rhs[1:] -= lam * off * psi[:-1]
+        psi = solve_banded((1, 1), ab, rhs)
+    return psi
 
 
 class TestPropagatorConfig:
@@ -131,6 +156,59 @@ class TestPropagate:
             dists.append(np.sqrt(max(0.0, 2.0 - 2.0 * overlap)))
         ratio = dists[0] / dists[1]
         assert 3.2 <= ratio <= 4.8
+
+
+class TestFactoredCayley:
+    @pytest.mark.parametrize("spec,n", [
+        # the benchmark's implicit-unitary scenario and a displaced coherent state
+        (sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.25, 0.75, 0.7)), 1024),
+        (sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0), sx.CenterTrajectory(2 * SGR, 0.4)),
+         256),
+    ])
+    def test_matches_solve_banded_bit_for_bit(self, spec, n):
+        grid = sx.GridSpec.for_state(spec, n_points=n)
+        psi0 = sx.eval_pure_wavefunction(spec, grid, 0.0)
+        out = sx.propagate(psi0, OSC, sx.PropagatorConfig(
+            scheme="implicit-unitary", dt=T / 8192, n_steps=500))
+        assert np.array_equal(out.values, reference_cayley(psi0.values, grid, OSC, T / 8192, 500))
+
+    def _psi0(self):
+        spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
+        return sx.eval_pure_wavefunction(spec, sx.GridSpec.for_state(spec, n_points=64), 0.0)
+
+    def test_singular_factor_raises(self, monkeypatch):
+        def zgttrf(dl, d, du):
+            return dl, d, du, du[:-1], np.zeros(len(d), np.int32), 1
+
+        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(zgttrf=zgttrf))
+        with pytest.raises(sx.InvariantError, match="singular"):
+            sx.propagate(self._psi0(), OSC, sx.PropagatorConfig(
+                scheme="implicit-unitary", dt=T / 64, n_steps=4))
+
+    def test_failed_solve_raises_and_stops(self, monkeypatch):
+        solves = []
+
+        def zgttrs(*args, **kwargs):
+            solves.append(1)
+            return args[-1], 1
+
+        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(
+            zgttrf=oracle.lapack.zgttrf, zgttrs=zgttrs))
+        with pytest.raises(sx.InvariantError, match="implicit step 1: zgttrs info = 1"):
+            sx.propagate(self._psi0(), OSC, sx.PropagatorConfig(
+                scheme="implicit-unitary", dt=T / 64, n_steps=4))
+        assert len(solves) == 1
+
+
+class TestEdgeGuard:
+    @pytest.mark.parametrize("where", [0, -1, slice(None)])
+    def test_nan_edge_fails(self, where):
+        psi = np.zeros(16, complex)
+        psi[where] = np.nan
+        with pytest.raises(sx.BoundaryError, match="at split step 3: edge amplitude nan"):
+            oracle._check_edges(psi, oracle.EDGE_GUARD, "split", 3)
+        with pytest.raises(sx.BoundaryError, match="in the initial state"):
+            oracle._check_edges(psi, oracle.EDGE_START_TOL)
 
 
 class TestFidelity:

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +244,56 @@ class TestTimeseries:
             for cell in row.split(","):
                 if cell:
                     assert format(float(cell), ".17g") == cell
+
+
+def small_pure_scenarios():
+    """Three small pure scenarios, one of them on the implicit scheme."""
+    configs = [dict(FAST_PURE, name=f"fast_pure_{k}") for k in range(3)]
+    # at n=256 the three-point Laplacian keeps 1 - fidelity below 1e-6 for the ground state
+    configs[1]["squeeze"] = {"A0": 1.0}
+    configs[1]["propagator"] = dict(FAST_PURE["propagator"], scheme="implicit-unitary")
+    configs[2]["squeeze"] = {"A0": 1.25, "dA": 0.75, "phi_sq": 0.4}
+    return parse_config(json.dumps({"scenarios": configs}))
+
+
+class TestPool:
+    def test_one_scenario_steps_at_a_time(self, tmp_path, monkeypatch):
+        # three workers on two cores, a short switch interval, and a sleep inside
+        # each call to widen the window in which two stepping loops could overlap
+        real_propagate = scenario.propagate
+        counter = threading.Lock()
+        in_flight, peak = [0], [0]
+
+        def watched_propagate(psi, osc, cfg):
+            with counter:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.005)
+                return real_propagate(psi, osc, cfg)
+            finally:
+                with counter:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(scenario, "propagate", watched_propagate)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = scenario.run_scenarios(small_pure_scenarios(), tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.verified for r in results)
+        assert peak[0] == 1
+
+    def test_pooled_products_match_serial_runs(self, tmp_path):
+        scenarios = small_pure_scenarios()
+        pooled = scenario.run_scenarios(scenarios, tmp_path / "pool")
+        serial = [run_scenario(sc, tmp_path / "serial") for sc in scenarios]
+        for p, s in zip(pooled, serial):
+            assert (p.name, p.verified, p.lines) == (s.name, s.verified, s.lines)
+            assert [f.name for f in p.files] == [f.name for f in s.files]
+            for pf, sf in zip(p.files, s.files):
+                assert pf.read_bytes() == sf.read_bytes()
 
 
 class TestVerify:

@@ -79,6 +79,13 @@ class TestTypeInvariants:
         with pytest.raises(sx.InvariantError, match="norm"):
             sx.WavefunctionSample(grid=grid, values=bad.astype(complex), time=0.0)
 
+    def test_samples_reject_nan(self):
+        grid = sx.GridSpec(-5.0, 5.0, 16)
+        with pytest.raises(sx.InvariantError, match="norm"):
+            sx.WavefunctionSample(grid=grid, values=np.full(16, np.nan, complex), time=0.0)
+        with pytest.raises(sx.InvariantError, match="Hermiticity"):
+            sx.DensityMatrixSample(grid=grid, values=np.full((16, 16), np.nan, complex), time=0.0)
+
 
 # ---------------------------------------------------------------------------
 # quadrature_shape

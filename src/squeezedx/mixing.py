@@ -29,7 +29,6 @@ from .states import (
     SqueezeDynamics,
     _gaussian_density,
     center_state,
-    eval_pure_density,
     quadrature_shape,
 )
 
@@ -70,15 +69,6 @@ class MixedGaussianSpec:
             raise InvariantError(f"mixing invariant sigma_a >= 0 violated: sigma_a={self.sigma_a}")
 
     @property
-    def spread_ratio(self) -> float:
-        """sigma_a^2 / sigma_gr^2, the dimensionless added variance."""
-        return self.sigma_a**2 / self.base.osc.ground_variance
-
-    @property
-    def A0_tilde(self) -> float:
-        return self.base.squeeze.A0 + self.spread_ratio
-
-    @property
     def purity_product(self) -> float:
         return reparameterize(self).purity_product
 
@@ -91,9 +81,10 @@ def reparameterize(spec: MixedGaussianSpec) -> GaussianStateSpec:
     sigma_a = 0.
     """
     sq = spec.base.squeeze
+    A0 = sq.A0 + spec.sigma_a**2 / spec.base.osc.ground_variance
     return GaussianStateSpec(
         osc=spec.base.osc,
-        squeeze=SqueezeDynamics(A0=spec.A0_tilde, dA=sq.dA, phi_sq=sq.phi_sq),
+        squeeze=SqueezeDynamics(A0=A0, dA=sq.dA, phi_sq=sq.phi_sq),
         center=spec.base.center,
     )
 
@@ -198,8 +189,6 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     """
     target = reparameterize(spec)
     grid.require_coverage(target)
-    if spec.sigma_a == 0.0:
-        return eval_pure_density(spec.base, grid, t)
     if method == "monte-carlo":
         if n_samples < 1:
             raise InvariantError(f"Monte Carlo ensemble requires n_samples >= 1: got {n_samples}")

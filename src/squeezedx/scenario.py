@@ -13,7 +13,7 @@ import math
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,19 @@ def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
     return v
 
 
+def _section(cls, obj, ctx: str):
+    """Build the dataclass ``cls`` from a config section.
+
+    The fields of ``cls`` are the allowed keys, those without a default are
+    required, a missing key takes the field's default, and each value is read
+    as the integer or finite float its (string) annotation names.
+    """
+    keys = fields(cls)
+    _check_keys(obj, {f.name for f in keys}, {f.name for f in keys if f.default is MISSING}, ctx)
+    return cls(**{f.name: (_integer if f.type == "int" else _number)(obj, f.name, ctx)
+                  for f in keys if f.name in obj})
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully validated scenario, ready to run."""
@@ -190,13 +203,7 @@ def _parse_scenario(obj: dict) -> Scenario:
         raise ParseError(f"scenario name must match {_NAME_RE.pattern}: got {name!r}")
     ctx = f"scenario {name!r}"
 
-    osc_obj = obj.get("oscillator", {})
-    _check_keys(osc_obj, {"mass", "angular_frequency", "hbar"}, set(), f"{ctx}.oscillator")
-    osc = OscillatorConfig(
-        mass=_number(osc_obj, "mass", f"{ctx}.oscillator", 1.0),
-        angular_frequency=_number(osc_obj, "angular_frequency", f"{ctx}.oscillator", 1.0),
-        hbar=_number(osc_obj, "hbar", f"{ctx}.oscillator", 1.0),
-    )
+    osc = _section(OscillatorConfig, obj.get("oscillator", {}), f"{ctx}.oscillator")
 
     sq_obj = obj["squeeze"]
     if isinstance(sq_obj, dict) and "initial_variance_D" in sq_obj:
@@ -204,19 +211,9 @@ def _parse_scenario(obj: dict) -> Scenario:
         squeeze = squeeze_from_initial_variance(
             _number(sq_obj, "initial_variance_D", f"{ctx}.squeeze"), osc)
     else:
-        _check_keys(sq_obj, {"A0", "dA", "phi_sq"}, {"A0"}, f"{ctx}.squeeze")
-        squeeze = SqueezeDynamics(
-            A0=_number(sq_obj, "A0", f"{ctx}.squeeze"),
-            dA=_number(sq_obj, "dA", f"{ctx}.squeeze", 0.0),
-            phi_sq=_number(sq_obj, "phi_sq", f"{ctx}.squeeze", 0.0),
-        )
+        squeeze = _section(SqueezeDynamics, sq_obj, f"{ctx}.squeeze")
 
-    c_obj = obj.get("center", {})
-    _check_keys(c_obj, {"X_amp", "phi_c"}, set(), f"{ctx}.center")
-    center = CenterTrajectory(
-        X_amp=_number(c_obj, "X_amp", f"{ctx}.center", 0.0),
-        phi_c=_number(c_obj, "phi_c", f"{ctx}.center", 0.0),
-    )
+    center = _section(CenterTrajectory, obj.get("center", {}), f"{ctx}.center")
 
     sigma_a = _number(obj, "sigma_a", ctx, 0.0)
     mixed = MixedGaussianSpec(GaussianStateSpec(osc, squeeze, center), sigma_a)
@@ -232,16 +229,9 @@ def _parse_scenario(obj: dict) -> Scenario:
     if g_obj is None:
         grid = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
     else:
-        _check_keys(g_obj, {"x_min", "x_max", "n_points"}, {"x_min", "x_max", "n_points"},
-                    f"{ctx}.grid")
-        n_points = _integer(g_obj, "n_points", f"{ctx}.grid")
-        if n_points > MAX_GRID_POINTS:
-            raise InvariantError(f"{ctx}.grid: n_points={n_points} exceeds {MAX_GRID_POINTS}")
-        grid = GridSpec(
-            x_min=_number(g_obj, "x_min", f"{ctx}.grid"),
-            x_max=_number(g_obj, "x_max", f"{ctx}.grid"),
-            n_points=n_points,
-        )
+        grid = _section(GridSpec, g_obj, f"{ctx}.grid")
+        if grid.n_points > MAX_GRID_POINTS:
+            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
         grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})

@@ -155,13 +155,10 @@ class GaussianStateSpec:
     def is_pure(self) -> bool:
         return self.squeeze.is_pure
 
-    def max_spatial_std(self) -> float:
-        """Largest sqrt(sigma_gr^2 * A(t)) over a period."""
-        return np.sqrt(self.osc.ground_variance * (self.squeeze.A0 + self.squeeze.dA))
-
     def support_radius(self, n_sigmas: float = COVERAGE_SIGMAS) -> float:
-        """Center excursion plus ``n_sigmas`` maximal standard deviations."""
-        return self.center.X_amp + n_sigmas * self.max_spatial_std()
+        """X_amp plus ``n_sigmas`` maximal standard deviations sqrt(sigma_gr^2 (A0 + dA))."""
+        return self.center.X_amp + n_sigmas * np.sqrt(
+            self.osc.ground_variance * (self.squeeze.A0 + self.squeeze.dA))
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,10 @@ class Moments:
     var_x: float
     var_p: float
     cov_xp: float
-    uncertainty_product: float
+
+    @property
+    def uncertainty_product(self) -> float:
+        return float(np.sqrt(self.var_x * self.var_p))
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +468,9 @@ def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Dens
 # moments
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(values: np.ndarray, grid: GridSpec, order: int = 1,
-                         axis: int = 0) -> np.ndarray:
-    k = grid.wavenumbers()
-    shape = [1] * values.ndim
-    shape[axis] = grid.n_points
-    ik = (1j * k.reshape(shape)) ** order
-    return np.fft.ifft(ik * np.fft.fft(values, axis=axis), axis=axis)
+def _spectral_derivative(values: np.ndarray, grid: GridSpec, order: int = 1) -> np.ndarray:
+    ik = (1j * grid.wavenumbers()) ** order
+    return np.fft.ifft(ik * np.fft.fft(values))
 
 
 def _wavefunction_moments(wf: WavefunctionSample, osc: OscillatorConfig) -> Moments:
@@ -490,8 +486,7 @@ def _wavefunction_moments(wf: WavefunctionSample, osc: OscillatorConfig) -> Mome
     var_p = mean_p2 - mean_p**2
     # symmetrized covariance: Re<(x - <x>)(p - <p>)> = hbar Im int psi* (x - <x>) psi'
     cov_xp = float(hbar * _trapz(((x - mean_x) * np.conj(psi) * dpsi).imag, wf.grid))
-    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p,
-                   cov_xp=cov_xp, uncertainty_product=float(np.sqrt(var_x * var_p)))
+    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p, cov_xp=cov_xp)
 
 
 def _density_moments(dm: DensityMatrixSample, osc: OscillatorConfig) -> Moments:
@@ -501,16 +496,16 @@ def _density_moments(dm: DensityMatrixSample, osc: OscillatorConfig) -> Moments:
     diag = np.diagonal(rho).real
     mean_x = float(_trapz(x * diag, dm.grid))
     var_x = float(_trapz((x - mean_x) ** 2 * diag, dm.grid))
-    d1 = _spectral_derivative(rho, dm.grid, order=1, axis=0)
-    d2 = _spectral_derivative(rho, dm.grid, order=2, axis=0)
-    d1_diag = np.diagonal(d1)
+    ik = 1j * dm.grid.wavenumbers()[:, None]
+    rho_k = np.fft.fft(rho, axis=0)  # feeds both derivatives; only their diagonals are kept
+    d1_diag = np.diagonal(np.fft.ifft(ik ** 1 * rho_k, axis=0)).copy()
+    d2_diag = np.diagonal(np.fft.ifft(ik ** 2 * rho_k, axis=0)).copy()
     mean_p = float(_trapz((-1j * hbar * d1_diag).real, dm.grid))
-    mean_p2 = float(_trapz((-(hbar**2) * np.diagonal(d2)).real, dm.grid))
+    mean_p2 = float(_trapz((-(hbar**2) * d2_diag).real, dm.grid))
     var_p = mean_p2 - mean_p**2
     # symmetrized covariance: Re Tr[(x - <x>)(p - <p>) rho]
     cov_xp = float(_trapz(((x - mean_x) * (-1j * hbar) * d1_diag).real, dm.grid))
-    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p,
-                   cov_xp=cov_xp, uncertainty_product=float(np.sqrt(var_x * var_p)))
+    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p, cov_xp=cov_xp)
 
 
 def moments(sample, osc: OscillatorConfig) -> Moments:

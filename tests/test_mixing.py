@@ -154,9 +154,13 @@ class TestEnsembleAverage:
     def test_sigma_zero_returns_pure_density(self):
         ms = mixed(A0=1.25, X_amp=SGR, sigma_a=0.0)
         grid = sx.GridSpec.for_state(ms.base, n_points=128)
-        ens = sx.ensemble_average_density(ms, grid, 0.7, 16)
         dp = sx.eval_pure_density(ms.base, grid, 0.7)
-        assert np.abs(ens.values - dp.values).max() == 0.0
+        # every member sits on the base trajectory; the sum only adds rounding
+        for ens in (sx.ensemble_average_density(ms, grid, 0.7, 16),
+                    sx.ensemble_average_density(ms, grid, 0.7, 32),
+                    sx.ensemble_average_density(ms, grid, 0.7, method="monte-carlo",
+                                                n_samples=1000)):
+            assert np.abs(ens.values - dp.values).max() <= 1e-13 * np.abs(dp.values).max()
 
     def test_ground_base_unit_spread_at_t0(self):
         ms = mixed(sigma_a=SGR)

@@ -47,6 +47,11 @@ FAST_MIXED = {
 }
 
 
+# SHA-256 of the ground_state products; perfbench/digests.json pins the other bundled scenarios.
+GROUND_STATE_DIGESTS = {
+    "ground_state_timeseries.csv": "ce0d1d70be76e978bfaeb9202c47e0f75dda8634d23ae2c6ad4c9479dda0f9b0",
+}
+
 CHECK_LINE = re.compile(r"^\[\S+\] \S+: (PASS|FAIL) \(.+ = \S+, tol \S+, margin \S+\)$")
 
 
@@ -58,6 +63,9 @@ class TestParsing:
     def test_minimal_scenario(self):
         sc = parse_one({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"]})
         assert sc.osc.ground_variance == 0.5
+        assert sc.osc == sx.OscillatorConfig()
+        assert sc.spec.center == sx.CenterTrajectory()
+        assert sc.spec.squeeze.dA == sc.spec.squeeze.phi_sq == 0.0
         assert len(sc.sample_times) == 64
         assert not sc.is_mixed
 
@@ -70,13 +78,24 @@ class TestParsing:
         with pytest.raises(sx.ParseError, match="bogus"):
             parse_one({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"], "bogus": 1})
 
-    def test_unknown_nested_key_rejected(self):
-        with pytest.raises(sx.ParseError, match="unknown key"):
-            parse_one({"name": "m", "squeeze": {"A0": 1.0, "extra": 2.0}, "outputs": ["verify"]})
+    @pytest.mark.parametrize("section", ["oscillator", "squeeze", "center", "grid"])
+    def test_unknown_nested_key_rejected(self, section):
+        obj = {"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"],
+               "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}}
+        obj[section] = {**obj.get(section, {}), "extra": 2.0}
+        with pytest.raises(sx.ParseError, match=rf"unknown key\(s\) in scenario 'm'\.{section}: "
+                                                r"\['extra'\]"):
+            parse_one(obj)
 
     def test_missing_required_key(self):
         with pytest.raises(sx.ParseError, match="missing required"):
             parse_one({"name": "m", "outputs": ["verify"]})
+
+    def test_grid_missing_n_points(self):
+        with pytest.raises(sx.ParseError, match=r"missing required key\(s\) in scenario 'm'\.grid: "
+                                                r"\['n_points'\]"):
+            parse_one({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"],
+                       "grid": {"x_min": -12.0, "x_max": 12.0}})
 
     def test_bad_json(self):
         with pytest.raises(sx.ParseError, match="not valid JSON"):
@@ -480,9 +499,10 @@ class TestBundledScenarios:
         scs = parse_config((SCENARIOS / f"{name}.json").read_text())
         assert scs[0].name == name
 
-    @pytest.mark.parametrize("name", ["squeezed_vacuum", "mixed_p4"])
+    @pytest.mark.parametrize("name", ["ground_state", "squeezed_vacuum", "mixed_p4"])
     def test_run_reproduces_recorded_digests(self, name, tmp_path):
-        recorded = json.loads((REPO / "perfbench" / "digests.json").read_text())[name]
+        recorded = {**json.loads((REPO / "perfbench" / "digests.json").read_text()),
+                    "ground_state": GROUND_STATE_DIGESTS}[name]
         assert cli.main(["run", str(SCENARIOS / f"{name}.json"),
                          "--out-dir", str(tmp_path), "--quiet"]) == 0
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in recorded}

@@ -16,6 +16,32 @@ def pure_squeeze(A0, phi_sq=0.0):
     return sx.SqueezeDynamics(A0, np.sqrt(A0**2 - 1.0), phi_sq)
 
 
+def two_transform_moments(dm, osc):
+    """Density moments with one transform of rho per derivative order.
+
+    ``moments`` transforms rho once and feeds both derivatives from it; the
+    results must be the same floats.
+    """
+    grid, rho, hbar = dm.grid, dm.values, osc.hbar
+    x = grid.points()
+
+    def trapz(values):
+        return float(np.trapezoid(values, dx=grid.spacing))
+
+    def derivative_diagonal(order):
+        ik = (1j * grid.wavenumbers()[:, None]) ** order
+        return np.diagonal(np.fft.ifft(ik * np.fft.fft(rho, axis=0), axis=0))
+
+    diag = np.diagonal(rho).real
+    mean_x = trapz(x * diag)
+    var_x = trapz((x - mean_x) ** 2 * diag)
+    d1 = derivative_diagonal(1)
+    mean_p = trapz((-1j * hbar * d1).real)
+    var_p = trapz((-(hbar**2) * derivative_diagonal(2)).real) - mean_p**2
+    cov_xp = trapz(((x - mean_x) * (-1j * hbar) * d1).real)
+    return mean_x, mean_p, var_x, var_p, cov_xp, float(np.sqrt(var_x * var_p))
+
+
 # ---------------------------------------------------------------------------
 # type invariants
 # ---------------------------------------------------------------------------
@@ -390,6 +416,18 @@ class TestMoments:
         assert md.var_p == pytest.approx(mw.var_p, rel=1e-9)
         assert md.cov_xp == pytest.approx(mw.cov_xp, abs=1e-9)
         assert md.mean_p == pytest.approx(mw.mean_p, abs=1e-9)
+
+    @pytest.mark.parametrize("osc", [OSC, sx.OscillatorConfig(mass=2.0, hbar=0.5)])
+    def test_density_moments_equal_two_transform_reference(self, osc):
+        pure = sx.GaussianStateSpec(osc, pure_squeeze(1.7, 1.1), sx.CenterTrajectory(1.2, 0.3))
+        mixed = sx.reparameterize(sx.MixedGaussianSpec(pure, 0.8 * np.sqrt(osc.ground_variance)))
+        for spec, evaluate in ((pure, sx.eval_pure_density), (mixed, sx.eval_mixed_density)):
+            grid = sx.GridSpec.for_state(spec, n_points=256)
+            for t in (0.0, 0.8, 2.9):
+                dm = evaluate(spec, grid, t)
+                m = sx.moments(dm, osc)
+                assert (m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp,
+                        m.uncertainty_product) == two_transform_moments(dm, osc)
 
     def test_rejects_unnormalized_input(self):
         spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))

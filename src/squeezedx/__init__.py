@@ -1,79 +1,11 @@
 """Squeezed and mixed Gaussian states of a 1-D harmonic oscillator in x-space."""
 
-from .errors import (
-    BoundaryError,
-    ConvergenceError,
-    CoverageError,
-    GridMismatchError,
-    InvariantError,
-    ParseError,
-    SqueezedXError,
-)
-from .mixing import (
-    MixedGaussianSpec,
-    ensemble_average_density,
-    eval_mixed_density,
-    gaussian_identity_exponential,
-    gaussian_identity_shifted,
-    reparameterize,
-)
-from .oracle import PropagatorConfig, energy_expectation, fidelity, propagate, purity
-from .states import (
-    CenterTrajectory,
-    DensityMatrixSample,
-    GaussianStateSpec,
-    GridSpec,
-    Moments,
-    OscillatorConfig,
-    SqueezeDynamics,
-    WavefunctionSample,
-    accumulated_phase,
-    center_state,
-    eval_pure_density,
-    eval_pure_wavefunction,
-    moments,
-    ode_residuals,
-    quadrature_shape,
-    schrodinger_residual,
-    squeeze_from_initial_variance,
-)
+from . import errors, mixing, oracle, states
+from .errors import *  # noqa: F403
+from .mixing import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryError",
-    "CenterTrajectory",
-    "ConvergenceError",
-    "CoverageError",
-    "DensityMatrixSample",
-    "GaussianStateSpec",
-    "GridMismatchError",
-    "GridSpec",
-    "InvariantError",
-    "MixedGaussianSpec",
-    "Moments",
-    "OscillatorConfig",
-    "ParseError",
-    "PropagatorConfig",
-    "SqueezeDynamics",
-    "SqueezedXError",
-    "WavefunctionSample",
-    "accumulated_phase",
-    "center_state",
-    "energy_expectation",
-    "ensemble_average_density",
-    "eval_mixed_density",
-    "eval_pure_density",
-    "eval_pure_wavefunction",
-    "fidelity",
-    "gaussian_identity_exponential",
-    "gaussian_identity_shifted",
-    "moments",
-    "ode_residuals",
-    "propagate",
-    "purity",
-    "quadrature_shape",
-    "reparameterize",
-    "schrodinger_residual",
-    "squeeze_from_initial_variance",
-]
+__all__ = sorted(errors.__all__ + states.__all__ + oracle.__all__ + mixing.__all__)

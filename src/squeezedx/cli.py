@@ -11,11 +11,13 @@ or numerical failure, 2 config parse error, 3 invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvariantError, ParseError, SqueezedXError
-from .scenario import parse_config, run_scenarios, write_density_dump
+from .scenario import parse_config, run_scenarios
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -28,6 +30,13 @@ def _seed(value: str) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError(f"seed must fit in u64: {value}")
     return seed
+
+
+def _time(value: str) -> float:
+    t = float(value)
+    if not math.isfinite(t):
+        raise argparse.ArgumentTypeError(f"time must be finite: {value}")
+    return t
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run verification checks regardless of requested products")
     dump = sub.add_parser("dump-density", parents=[common],
                           help="write a density-matrix dump at a given time")
-    dump.add_argument("--time", type=float, required=True,
+    dump.add_argument("--time", type=_time, required=True,
                       help="evaluation time for the dump")
     return parser
 
@@ -72,20 +81,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
         scenarios = parse_config(text)
+        # each command is a choice of products
+        if args.command == "verify":
+            scenarios = [replace(sc, outputs=("verify",)) for sc in scenarios]
+        elif args.command == "dump-density":
+            scenarios = [replace(sc, outputs=("density",), sample_times=(args.time,))
+                         for sc in scenarios]
 
-        if args.command == "dump-density":
-            from .scenario import density_at
-            args.out_dir.mkdir(parents=True, exist_ok=True)
-            for sc in scenarios:
-                path = sc.dump_path(args.out_dir, "density", args.time)
-                write_density_dump(density_at(sc, args.time), path)
-                _emit(f"wrote {path}", args.quiet)
-            return EXIT_OK
-
-        verify_only = args.command == "verify"
-        results = run_scenarios(scenarios, args.out_dir, seed=args.seed,
-                                verify_only=verify_only)
-        all_ok = True
+        results = run_scenarios(scenarios, args.out_dir, seed=args.seed)
         for res in results:
             for path in res.files:
                 _emit(f"wrote {path}", args.quiet)
@@ -94,8 +97,7 @@ def main(argv=None) -> int:
                     _emit(line, args.quiet)
                 else:
                     print(line, file=sys.stderr)
-            all_ok = all_ok and res.verified
-        if not all_ok:
+        if not all(res.verified for res in results):
             print("verification FAILED", file=sys.stderr)
             return EXIT_VERIFICATION
         return EXIT_OK

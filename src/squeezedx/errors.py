@@ -4,6 +4,16 @@ The CLI maps these onto exit codes: ParseError -> 2, InvariantError (and
 subclasses) -> 3, anything that makes a requested verification fail -> 1.
 """
 
+__all__ = [
+    "SqueezedXError",
+    "ParseError",
+    "InvariantError",
+    "CoverageError",
+    "GridMismatchError",
+    "BoundaryError",
+    "ConvergenceError",
+]
+
 
 class SqueezedXError(Exception):
     """Base class for all package errors."""

@@ -157,10 +157,6 @@ class Scenario:
     def is_mixed(self) -> bool:
         return self.mixed is not None
 
-    def dump_path(self, out_dir: Path, product: str, t: float) -> Path:
-        """File of the ``product`` ("wavefunction" or "density") dump at time t."""
-        return out_dir / f"{self.name}_{product}_t{t:.6g}.csv"
-
     def fidelities(self) -> tuple:
         """Fidelity of the propagated state against the closed form at each sample time.
 
@@ -487,42 +483,40 @@ def verify_scenario(sc: Scenario, seed: int = 12345):
 @dataclass
 class ScenarioResult:
     name: str
-    verified: bool
     lines: list
     files: list
 
+    @property
+    def verified(self) -> bool:
+        """True iff every check line passed (also when no check ran)."""
+        return all(ok for ok, _ in self.lines)
 
-def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345,
-                 verify_only: bool = False) -> ScenarioResult:
+
+def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345) -> ScenarioResult:
+    """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list = []
     lines: list = []
-    verified = True
-    products = ("verify",) if verify_only else sc.outputs
-    for product in products:
+    for product in sc.outputs:
         if product == "timeseries":
             path = out_dir / f"{sc.name}_timeseries.csv"
             emit_timeseries(sc, path)
             files.append(path)
         elif product in ("wavefunction", "density"):
             t = sc.sample_times[-1]
-            path = sc.dump_path(out_dir, product, t)
+            path = out_dir / f"{sc.name}_{product}_t{t:.6g}.csv"
             if product == "wavefunction":
                 write_wavefunction_dump(sc, t, path)
             else:
                 write_density_dump(density_at(sc, t), path)
             files.append(path)
         elif product == "verify":
-            ok, check_lines = verify_scenario(sc, seed=seed)
-            verified = verified and ok
-            lines.extend(check_lines)
-    return ScenarioResult(name=sc.name, verified=verified, lines=lines, files=files)
+            lines.extend(verify_scenario(sc, seed=seed)[1])
+    return ScenarioResult(name=sc.name, lines=lines, files=files)
 
 
-def run_scenarios(scenarios, out_dir: Path, seed: int = 12345,
-                  verify_only: bool = False):
+def run_scenarios(scenarios, out_dir: Path, seed: int = 12345):
     """Run scenarios in parallel; results come back in input order."""
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-        futures = [pool.submit(run_scenario, sc, out_dir, seed, verify_only)
-                   for sc in scenarios]
+        futures = [pool.submit(run_scenario, sc, out_dir, seed) for sc in scenarios]
         return [f.result() for f in futures]

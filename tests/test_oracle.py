@@ -94,6 +94,18 @@ class TestPropagate:
         with pytest.raises(sx.BoundaryError, match="edge amplitude"):
             sx.propagate(psi0, OSC, sx.PropagatorConfig(dt=T / 256, n_steps=8))
 
+    def test_continued_state_is_held_to_the_step_guard(self):
+        # after T/4 this state has 1.951e-10 at an edge: above the entry gate, below the guard
+        spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.25, 0.75, np.pi))
+        psi0 = sx.eval_pure_wavefunction(spec, sx.GridSpec(-9.5, 9.5, 512), 0.0)
+        cfg = sx.PropagatorConfig(dt=T / 4096, n_steps=1024)
+        psi = sx.propagate(psi0, OSC, cfg)
+        assert 1e-10 < max(abs(psi.values[0]), abs(psi.values[-1])) < 1e-8
+        assert sx.propagate(psi, OSC, cfg).time == 2 * 1024 * cfg.dt
+        fresh = sx.WavefunctionSample(grid=psi.grid, values=psi.values, time=psi.time)
+        with pytest.raises(sx.BoundaryError, match="in the initial state"):
+            sx.propagate(fresh, OSC, cfg)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_detects_contamination_mid_run(self, scheme):
         # a packet starting at -3 sigma_gr with only 5 sigma of headroom on
@@ -129,6 +141,17 @@ class TestPropagate:
         out = sx.propagate(psi0, OSC, sx.PropagatorConfig(scheme=scheme, dt=T / 8192, n_steps=8192))
         e1 = sx.energy_expectation(out, OSC, kinetic=kinetic)
         assert abs(e1 - e0) / e0 <= 1e-8
+
+    def test_fd3_energy_is_the_three_point_quadratic_form(self):
+        spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25, 0.3), sx.CenterTrajectory(SGR, 0.7))
+        grid = sx.GridSpec.for_state(spec, n_points=96)
+        psi = sx.eval_pure_wavefunction(spec, grid, 0.4).values
+        h, x = grid.spacing, grid.points()
+        laplacian = (np.diag(np.full(grid.n_points - 1, 1.0), 1) - 2.0 * np.eye(grid.n_points)
+                     + np.diag(np.full(grid.n_points - 1, 1.0), -1)) / (h * h)
+        hamiltonian = -0.5 * laplacian + np.diag(0.5 * x * x)  # hbar = m = omega = 1
+        e = sx.energy_expectation(sx.WavefunctionSample(grid, psi, 0.4), OSC, kinetic="fd3")
+        assert abs(e - h * np.vdot(psi, hamiltonian @ psi).real) <= 1e-12 * e
 
     def test_schemes_cross_validate_at_reference_resolution(self):
         spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25, 0.3))

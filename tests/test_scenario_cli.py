@@ -59,6 +59,23 @@ def parse_one(obj):
     return parse_config(json.dumps(obj))[0]
 
 
+def test_public_names():
+    # the package lists no names itself: they come from the modules' __all__
+    assert sx.__all__ == [
+        "BoundaryError", "CenterTrajectory", "ConvergenceError", "CoverageError",
+        "DensityMatrixSample", "GaussianStateSpec", "GridMismatchError", "GridSpec",
+        "InvariantError", "MixedGaussianSpec", "Moments", "OscillatorConfig", "ParseError",
+        "PropagatorConfig", "SqueezeDynamics", "SqueezedXError", "WavefunctionSample",
+        "accumulated_phase", "center_state", "energy_expectation", "ensemble_average_density",
+        "eval_mixed_density", "eval_pure_density", "eval_pure_wavefunction", "fidelity",
+        "gaussian_identity_exponential", "gaussian_identity_shifted", "moments",
+        "ode_residuals", "propagate", "purity", "quadrature_shape", "reparameterize",
+        "schrodinger_residual", "squeeze_from_initial_variance",
+    ]
+    for name in sx.__all__:
+        assert getattr(sx, name).__name__ == name
+
+
 class TestParsing:
     def test_minimal_scenario(self):
         sc = parse_one({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"]})
@@ -331,6 +348,16 @@ class TestVerify:
         assert {"trace", "purity-law", "ensemble-agreement"} <= labels
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
+    def test_failing_check_fails_the_scenario(self, tmp_path):
+        # the three-point Laplacian at n=256 leaves 1 - fidelity = 5.686e-05 against 1e-6
+        sc = parse_one(dict(FAST_PURE, outputs=["verify"], propagator=dict(
+            FAST_PURE["propagator"], scheme="implicit-unitary")))
+        res = run_scenario(sc, tmp_path)
+        assert res.verified is False
+        assert [line for ok, line in res.lines if not ok] == [
+            "[fast_pure] propagation-fidelity: FAIL "
+            "(1 - min fidelity = 5.686e-05, tol 1e-06, margin -5.586e-05)"]
+
     def test_nan_value_fails(self):
         lines = []
         scenario._check(lines, "s", "some-law", "max error", float("nan"), 1e-8)
@@ -417,6 +444,69 @@ class TestCLI:
         dump = out / "fast_mixed_density_t0.25.csv"
         assert dump.exists()
         assert abs(read_density_dump(dump).trace() - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("config", [FAST_MIXED, dict(FAST_PURE, outputs=["density"])],
+                             ids=["mixed", "pure"])
+    def test_dump_density_writes_the_run_density_product(self, tmp_path, config):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        assert self.run_cli("run", cfg, "--out-dir", tmp_path / "run", "--quiet") == 0
+        (product,) = (tmp_path / "run").glob("*_density_*")
+        t = config["sample_times"][-1]
+        assert self.run_cli("dump-density", cfg, "--out-dir", tmp_path / "dump", "--time", t,
+                            "--quiet") == 0
+        (dump,) = (tmp_path / "dump").iterdir()
+        assert dump.name == product.name
+        assert dump.read_bytes() == product.read_bytes()
+
+    @pytest.mark.parametrize("time", [["--time", "nan"], ["--time", "inf"], ["--time=-inf"]],
+                             ids=["nan", "inf", "-inf"])
+    def test_dump_density_rejects_non_finite_time(self, tmp_path, capsys, time):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(FAST_MIXED))
+        out = tmp_path / "o"
+        out.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("dump-density", cfg, "--out-dir", out, *time)
+        assert exc.value.code == 2
+        assert "time must be finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("config", [FAST_PURE, FAST_MIXED], ids=["pure", "mixed"])
+    def test_verify_prints_the_check_lines_of_run(self, tmp_path, capsys, config):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        printed = []
+        for command in ("run", "verify"):
+            assert self.run_cli(command, cfg, "--out-dir", tmp_path / command) == 0
+            printed.append(capsys.readouterr().out.splitlines())
+        run_checks = [line for line in printed[0] if CHECK_LINE.match(line)]
+        assert run_checks
+        assert printed[1] == run_checks
+
+    def test_failing_check_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_PURE, propagator=dict(
+            FAST_PURE["propagator"], scheme="implicit-unitary"))))
+        assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o", "--quiet") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "verification FAILED"
+        assert "propagation-fidelity: FAIL" in err[-2]
+
+    @pytest.mark.parametrize("segments", [2, 4])
+    def test_verdict_does_not_depend_on_how_sample_times_split_the_trajectory(
+            self, tmp_path, segments):
+        # at T/4 the propagated state has 1.951e-10 at an edge: above the 1e-12 entry
+        # gate, below the 1e-8 per-step guard that the trajectory is held to
+        T = 2 * np.pi
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "seg", "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": np.pi},
+            "grid": {"x_min": -9.5, "x_max": 9.5, "n_points": 512},
+            "propagator": {"dt": T / 4096},
+            "sample_times": [k * T / segments for k in range(segments // 2 + 1)],
+            "outputs": ["verify"]}))
+        assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o", "--quiet") == 0
 
     def test_parse_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -28,6 +28,7 @@ from .states import (
     GridSpec,
     SqueezeDynamics,
     _gaussian_density,
+    _require_pure,
     center_state,
     quadrature_shape,
 )
@@ -61,10 +62,7 @@ class MixedGaussianSpec:
     sigma_a: float = 0.0
 
     def __post_init__(self):
-        if not self.base.is_pure:
-            raise InvariantError(
-                f"mixed-state base must be pure (P = 1): P = {self.base.purity_product!r}"
-            )
+        _require_pure(self.base, "mixed-state base")
         if not self.sigma_a >= 0.0:
             raise InvariantError(f"mixing invariant sigma_a >= 0 violated: sigma_a={self.sigma_a}")
 

@@ -47,11 +47,14 @@ from .states import (
 
 __all__ = [
     "Scenario",
+    "ScenarioResult",
     "parse_config",
     "run_scenario",
+    "run_scenarios",
     "verify_scenario",
     "emit_timeseries",
     "density_at",
+    "write_wavefunction_dump",
     "write_density_dump",
     "read_density_dump",
 ]
@@ -149,6 +152,18 @@ class Scenario:
     mc_check: bool
     _fidelities: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # the phases the closed forms take; replace() re-checks them at new sample times
+        osc, sq, c = self.osc, self.spec.squeeze, self.spec.center
+        omega = osc.angular_frequency
+        phases = [("m omega X_amp^2 / hbar", osc.mass * omega * c.X_amp * c.X_amp / osc.hbar)]
+        for t in self.sample_times:
+            phases += [(f"2 omega t + phi_sq at t={t!r}", 2.0 * omega * t + sq.phi_sq),
+                       (f"2 (omega t + phi_c) at t={t!r}", 2.0 * (omega * t + c.phi_c))]
+        bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
+        if bad:
+            raise InvariantError(f"scenario {self.name!r}: phase {bad[0]} is not finite")
+
     @property
     def osc(self) -> OscillatorConfig:
         return self.spec.osc
@@ -233,6 +248,8 @@ def _parse_scenario(obj: dict) -> Scenario:
     p_obj = obj.get("propagator", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
     scheme = p_obj.get("scheme", "spectral-split-step")
+    if not isinstance(scheme, str):
+        raise ParseError(f"{ctx}.propagator.scheme must be a string, got {scheme!r}")
     dt = _number(p_obj, "dt", f"{ctx}.propagator", osc.period / 8192.0)
     PropagatorConfig(scheme=scheme, dt=dt, n_steps=1)  # validates scheme and dt
 

@@ -72,15 +72,17 @@ class OscillatorConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        # 2 m omega can underflow to 0 even when m and omega are positive
-        if not (self.mass > 0 and self.angular_frequency > 0 and self.hbar > 0
-                and 2.0 * self.mass * self.angular_frequency > 0.0
-                and 0.0 < self.ground_variance < np.inf and self.period < np.inf):
+        # 2 m omega can underflow to 0 even when m and omega are positive; the
+        # squares and products are those the closed forms and the oracles form
+        m, omega, hbar = self.mass, self.angular_frequency, self.hbar
+        if not (m > 0 and omega > 0 and hbar > 0 and 2.0 * m * omega > 0.0
+                and all(0.0 < q < np.inf for q in (
+                    self.ground_variance, self.period, hbar * hbar, hbar * hbar / m,
+                    omega * omega, m * omega * omega, m * omega * omega / hbar))):
             raise InvariantError(
-                "oscillator constants must satisfy m > 0, omega > 0, hbar > 0, with a finite "
-                "positive ground variance hbar/(2 m omega) and a finite period: "
-                f"got m={self.mass}, omega={self.angular_frequency}, hbar={self.hbar}"
-            )
+                "oscillator constants need m, omega, hbar > 0 with hbar/(2 m omega), the period, "
+                "hbar^2, hbar^2/m, omega^2, m omega^2 and m omega^2/hbar positive and finite: "
+                f"got m={m}, omega={omega}, hbar={hbar}")
 
     @property
     def ground_variance(self) -> float:
@@ -170,8 +172,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise InvariantError(f"grid invariant x_min < x_max violated: [{self.x_min}, {self.x_max}]")
+        if not 0.0 < self.x_max - self.x_min < np.inf:
+            raise InvariantError("grid invariant x_min < x_max with a finite width x_max - x_min "
+                                 f"violated: [{self.x_min}, {self.x_max}]")
         if self.n_points < 16:
             raise InvariantError(f"grid invariant n_points >= 16 violated: n_points={self.n_points}")
 
@@ -206,15 +209,12 @@ class GridSpec:
         """FFT wavenumbers for the periodic extension of period n*h."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
-    def covers(self, spec: GaussianStateSpec) -> bool:
-        radius = spec.support_radius()
-        return (-self.x_min >= radius) and (self.x_max >= radius)
-
     def require_coverage(self, spec: GaussianStateSpec) -> None:
-        if not self.covers(spec):
+        radius = spec.support_radius()
+        if not (-self.x_min >= radius and self.x_max >= radius):
             raise CoverageError(
                 "grid coverage invariant violated: |x_min|, x_max must be >= "
-                f"X_amp + {COVERAGE_SIGMAS:g}*max std = {spec.support_radius():.6g}, "
+                f"X_amp + {COVERAGE_SIGMAS:g}*max std = {radius:.6g}, "
                 f"got [{self.x_min:.6g}, {self.x_max:.6g}]"
             )
 
@@ -305,14 +305,10 @@ class Moments:
 def quadrature_shape(sq: SqueezeDynamics, omega: float, t):
     """A(t), B(t) of the 2*omega shape oscillation.
 
-    ``t`` may be a scalar or an array; the return matches.
+    ``t`` may be a scalar or an array; a scalar gives numpy float64 scalars.
     """
     arg = 2.0 * omega * np.asarray(t, dtype=float) + sq.phi_sq
-    A = sq.A0 + sq.dA * np.cos(arg)
-    B = sq.dA * np.sin(arg)
-    if np.ndim(t) == 0:
-        return float(A), float(B)
-    return A, B
+    return sq.A0 + sq.dA * np.cos(arg), sq.dA * np.sin(arg)
 
 
 def squeeze_from_initial_variance(D: float, osc: OscillatorConfig) -> SqueezeDynamics:
@@ -333,14 +329,10 @@ def squeeze_from_initial_variance(D: float, osc: OscillatorConfig) -> SqueezeDyn
 
 
 def center_state(center: CenterTrajectory, osc: OscillatorConfig, t):
-    """Classical center (x_c, p_c) at time(s) t."""
+    """Classical center (x_c, p_c) at time(s) t; a scalar t gives numpy float64 scalars."""
     omega = osc.angular_frequency
     arg = omega * np.asarray(t, dtype=float) + center.phi_c
-    x_c = center.X_amp * np.cos(arg)
-    p_c = -osc.mass * omega * center.X_amp * np.sin(arg)
-    if np.ndim(t) == 0:
-        return float(x_c), float(p_c)
-    return x_c, p_c
+    return center.X_amp * np.cos(arg), -osc.mass * omega * center.X_amp * np.sin(arg)
 
 
 def _vacuum_phase(sq: SqueezeDynamics, omega: float, t):
@@ -387,28 +379,21 @@ def _center_phase(center: CenterTrajectory, osc: OscillatorConfig, t):
 
 def accumulated_phase(sq: SqueezeDynamics, center: CenterTrajectory,
                       osc: OscillatorConfig, t):
-    """Accumulated global phase phi(t) of a pure state.
+    """Accumulated global phase phi(t) of a pure state; a scalar t gives a numpy float64.
 
     Only defined for pure parameter sets; the center contribution starts
     at 0 and the zero-center part starts on the principal branch.
     """
-    if not sq.is_pure:
-        raise InvariantError(
-            "accumulated phase is only defined for pure states: "
-            f"(A0+dA)(A0-dA) = {sq.purity_product!r} != 1"
-        )
-    omega = osc.angular_frequency
-    phi = _vacuum_phase(sq, omega, t) + _center_phase(center, osc, t)
-    if np.ndim(t) == 0:
-        return float(phi)
-    return phi
+    _require_pure(sq, "accumulated phase")
+    return _vacuum_phase(sq, osc.angular_frequency, t) + _center_phase(center, osc, t)
 
 
 # ---------------------------------------------------------------------------
 # state evaluation
 # ---------------------------------------------------------------------------
 
-def _require_pure(spec: GaussianStateSpec, what: str) -> None:
+def _require_pure(spec, what: str) -> None:
+    """Raise unless ``spec`` (anything with ``is_pure`` and ``purity_product``) is pure."""
     if not spec.is_pure:
         raise InvariantError(
             f"{what} requires a pure state (P = 1): P = {spec.purity_product!r}"
@@ -551,6 +536,7 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t):
 
     r3 uses the zero-center closed-form phase without the purity gate, so the
     residual is meaningful as a negative control for non-pure parameter sets.
+    A scalar t gives numpy float64 scalars.
     """
     omega = osc.angular_frequency
     dt_fd = FD_STEP / omega
@@ -558,17 +544,13 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t):
     A, B = quadrature_shape(sq, omega, t)
     Ap, Bp = quadrature_shape(sq, omega, t + dt_fd)
     Am, Bm = quadrature_shape(sq, omega, t - dt_fd)
-    A_dot = (np.asarray(Ap) - np.asarray(Am)) / (2.0 * dt_fd)
-    B_dot = (np.asarray(Bp) - np.asarray(Bm)) / (2.0 * dt_fd)
+    A_dot = (Ap - Am) / (2.0 * dt_fd)
+    B_dot = (Bp - Bm) / (2.0 * dt_fd)
     phi_dot = (_vacuum_phase(sq, omega, t + dt_fd)
                - _vacuum_phase(sq, omega, t - dt_fd)) / (2.0 * dt_fd)
-    r1 = np.abs(A_dot + 2.0 * omega * np.asarray(B)) / omega
-    r2 = np.abs(np.asarray(B) * A_dot - np.asarray(A) * B_dot
-                - omega * (1.0 - np.asarray(B) ** 2 - np.asarray(A) ** 2)) / omega
-    r3 = np.abs(phi_dot - omega / (2.0 * np.asarray(A))) / omega
-    if np.ndim(t) == 0:
-        return float(r1), float(r2), float(r3)
-    return r1, r2, r3
+    return (np.abs(A_dot + 2.0 * omega * B) / omega,
+            np.abs(B * A_dot - A * B_dot - omega * (1.0 - B ** 2 - A ** 2)) / omega,
+            np.abs(phi_dot - omega / (2.0 * A)) / omega)
 
 
 def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float) -> float:

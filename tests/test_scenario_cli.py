@@ -2,13 +2,17 @@
 
 import copy
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import squeezedx as sx
 from squeezedx import cli, scenario
+from squeezedx.oracle import SCHEMES
 from squeezedx.scenario import (
     density_at,
     parse_config,
@@ -74,6 +79,15 @@ def test_public_names():
     ]
     for name in sx.__all__:
         assert getattr(sx, name).__name__ == name
+
+
+@pytest.mark.parametrize("module", ["errors", "states", "oracle", "mixing", "scenario"])
+def test_modules_list_their_public_names(module):
+    mod = importlib.import_module(f"squeezedx.{module}")
+    defined = {name for name, obj in vars(mod).items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == mod.__name__ and not name.startswith("_")}
+    assert defined <= set(mod.__all__)
 
 
 class TestParsing:
@@ -199,6 +213,66 @@ class TestParserFuzz:
             parse_config(json.dumps(doc))
         except (sx.ParseError, sx.InvariantError):
             pass
+
+
+# Float-range extremes that every number of a run-time fuzz config may take.
+RUN_EXTREMES = (1e-320, 1e-12, 1e6, 1e150, 1e300, 1.7e308)
+
+
+def _run_value(*ordinary):
+    """One of ``ordinary`` seven times in eight, else one of RUN_EXTREMES."""
+    return st.integers(0, 7).flatmap(
+        lambda k: st.sampled_from(RUN_EXTREMES if k == 7 else ordinary))
+
+
+def _optional_section(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+# The grid is always given: the default 1024-point grid of a pure state makes
+# one example take seconds, most of it writing the N x N density dump.
+RUN_CONFIGS = st.fixed_dictionaries(
+    {
+        "name": st.just("f"),
+        "squeeze": st.one_of(
+            st.fixed_dictionaries({"initial_variance_D": _run_value(0.3, 1.0, 1.3)}),
+            st.fixed_dictionaries({"A0": _run_value(1.0)}),
+            st.fixed_dictionaries({"A0": st.just(1.25), "dA": st.just(0.75),
+                                   "phi_sq": _run_value(0.0, 2.0)})),
+        "grid": st.builds(lambda r, n: {"x_min": -r, "x_max": r, "n_points": n},
+                          _run_value(12.0, 16.0), st.integers(16, 96)),
+        "sample_times": st.lists(_run_value(0.0, 0.7, 2.7155266295336338), min_size=1,
+                                 max_size=3, unique=True).map(sorted),
+        "outputs": st.lists(st.sampled_from(scenario.PRODUCTS), min_size=1, max_size=4,
+                            unique=True),
+        "ensemble_nodes": st.just(16),
+    },
+    optional={
+        "oscillator": st.one_of(
+            _optional_section(hbar=_run_value(1.0, 0.3), mass=_run_value(1.0, 1.3),
+                              angular_frequency=_run_value(1.0, 1.85)),
+            # hbar and m scaled together keep sigma_gr^2 = hbar/(2 m omega) ordinary
+            st.builds(lambda s, w: {"hbar": s, "mass": s, "angular_frequency": w},
+                      st.sampled_from(RUN_EXTREMES), _run_value(1.0, 1.85))),
+        "center": _optional_section(X_amp=_run_value(0.3, 1.0), phi_c=_run_value(0.0, 2.0)),
+        "sigma_a": _run_value(0.3, 0.7),
+        "propagator": _optional_section(scheme=st.sampled_from(SCHEMES),
+                                        dt=_run_value(0.05, 0.3)),
+    },
+)
+
+
+class TestRunFuzz:
+    @given(config=RUN_CONFIGS)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_run_and_verify_end_in_an_exit_code(self, config):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "sc.json"
+            cfg.write_text(json.dumps(config))
+            for command in ("run", "verify"):
+                code = cli.main([command, str(cfg), "--out-dir", str(Path(tmp) / command),
+                                 "--quiet"])
+                assert code in (0, 1, 2, 3)
 
 
 class TestTimeseries:
@@ -522,7 +596,11 @@ class TestCLI:
                     dict(FAST_PURE, sample_times=[0.0, float("nan"), 1.0]),
                     # integers too large for a float
                     dict(FAST_PURE, squeeze={"A0": 10**400}),
-                    dict(FAST_PURE, sample_times=[0, 10**400])):
+                    dict(FAST_PURE, sample_times=[0, 10**400]),
+                    # a scheme is a string; an unknown string exits 3
+                    dict(FAST_PURE, propagator={"scheme": 5}),
+                    dict(FAST_PURE, propagator={"scheme": None}),
+                    dict(FAST_PURE, propagator={"scheme": ["implicit-unitary"]})):
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 2
             assert not list(out.glob("*"))
@@ -558,11 +636,56 @@ class TestCLI:
                 (dict(FAST_MIXED, ensemble_nodes=8), "ensemble_nodes=8 is outside 16..128"),
                 (dict(FAST_MIXED, ensemble_nodes=129), "ensemble_nodes=129 is outside 16..128"),
                 (dict(FAST_MIXED, ensemble_nodes=10**30),
-                 f"ensemble_nodes={10**30} is outside 16..128")):
+                 f"ensemble_nodes={10**30} is outside 16..128"),
+                (dict(FAST_PURE, propagator={"scheme": "foo"}), "unknown propagation scheme 'foo'"),
+                # hbar**2 or omega**2 leaves the float range: each was an OverflowError at run time
+                ({"name": "a", "oscillator": {"hbar": 1e300, "mass": 1e300,
+                                              "angular_frequency": 1.85},
+                  "squeeze": {"initial_variance_D": 0.3}, "sigma_a": 0.3, "sample_times": [0.0],
+                  "outputs": ["timeseries"]}, "oscillator constants need"),
+                ({"name": "b", "oscillator": {"mass": 1.3, "angular_frequency": 1e300,
+                                              "hbar": 1e300},
+                  "squeeze": {"initial_variance_D": 1.3}, "center": {"X_amp": 0.3},
+                  "sample_times": [0.0], "outputs": ["wavefunction"]},
+                 "oscillator constants need"),
+                ({"name": "c", "oscillator": {"hbar": 1e300, "mass": 1.78,
+                                              "angular_frequency": 2.41},
+                  "squeeze": {"initial_variance_D": 1e300}, "center": {"X_amp": 0.3},
+                  "propagator": {"scheme": "implicit-unitary", "dt": 1.5},
+                  "sample_times": [2.7155266295336338], "outputs": ["verify"]},
+                 "oscillator constants need"),
+                # X_amp**2 overflowed in the center phase
+                (dict(displaced, center={"X_amp": 1e300},
+                      grid={"x_min": -1e300, "x_max": 1e300, "n_points": 64}),
+                 "phase m omega X_amp^2 / hbar = inf is not finite"),
+                # x_max - x_min overflows
+                (dict(FAST_MIXED, grid={"x_min": -1.7e308, "x_max": 1.7e308, "n_points": 64}),
+                 "with a finite width x_max - x_min violated")):
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 3
             assert message in capsys.readouterr().err
             assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("config, argv", [
+        (dict(FAST_MIXED, sample_times=[0, 1e308]), ["run"]),
+        (SCENARIOS / "mixed_p4.json", ["dump-density", "--time", "1e308"]),
+        ({"name": "d", "squeeze": {"initial_variance_D": 1.0},
+          "center": {"X_amp": 1.0, "phi_c": 1.7e308}, "sample_times": [0.0, 0.7],
+          "outputs": ["timeseries", "verify"]}, ["run"]),
+    ], ids=["mixed-sample-time", "dump-time", "phi_c"])
+    def test_overflowing_phase_exit_3(self, tmp_path, capsys, config, argv):
+        cfg = config
+        if not isinstance(config, Path):
+            cfg = tmp_path / "sc.json"
+            cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli(argv[0], cfg, "--out-dir", out, *argv[1:]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert re.search(r"phase 2 \(?omega t \+ phi_(sq|c)\)? at t=\S+ = inf is not finite",
+                         capsys.readouterr().err)
+        assert not out.exists() or not list(out.iterdir())
 
     def test_missing_config_exit_2(self, tmp_path):
         assert self.run_cli("run", tmp_path / "nope.json", "--out-dir", tmp_path) == 2

@@ -274,8 +274,15 @@ class TestAccumulatedPhase:
             assert got == pytest.approx(explicit, abs=1e-9)
 
     def test_rejects_mixed_parameters(self):
-        with pytest.raises(sx.InvariantError, match="pure"):
-            sx.accumulated_phase(sx.SqueezeDynamics(2.0, 0.5), sx.CenterTrajectory(), OSC, 1.0)
+        # one purity gate: the phase, a mixed-state base and the wavefunction say the same
+        mixed = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(2.0, 0.5))
+        for call in (
+                lambda: sx.accumulated_phase(mixed.squeeze, sx.CenterTrajectory(), OSC, 1.0),
+                lambda: sx.MixedGaussianSpec(mixed, sigma_a=0.1),
+                lambda: sx.eval_pure_wavefunction(mixed, sx.GridSpec(-40.0, 40.0, 64), 0.0)):
+            with pytest.raises(sx.InvariantError,
+                               match=r"requires a pure state \(P = 1\): P = 3\.75$"):
+                call()
 
     @given(A0=st.floats(1.0, 5.0), phi=st.floats(0.0, 2 * np.pi), t=st.floats(0.0, 20.0))
     @settings(max_examples=50, deadline=None)
@@ -474,6 +481,29 @@ class TestOdeResiduals:
         _, r2, _ = sx.ode_residuals(sq, OSC, t)
         assert r2 == pytest.approx(P - 1.0, abs=1e-6)
         assert r2 > 1e-3
+
+
+class TestScalarTime:
+    """A scalar time gives numpy float64 values equal to the array evaluation's."""
+
+    OSC = sx.OscillatorConfig(mass=1.3, angular_frequency=1.85, hbar=0.7)
+    SQ = sx.SqueezeDynamics(1.25, 0.75, 0.4)
+    CENTER = sx.CenterTrajectory(0.9, 2.0)
+    TIMES = np.array([0.0, 1e-9, 0.3, 0.7, 2.7155266295336338, 6.1850105367549055, 41.0])
+
+    @pytest.mark.parametrize("closed_form", [
+        lambda t: sx.quadrature_shape(TestScalarTime.SQ, 1.85, t),
+        lambda t: sx.center_state(TestScalarTime.CENTER, TestScalarTime.OSC, t),
+        lambda t: (sx.accumulated_phase(TestScalarTime.SQ, TestScalarTime.CENTER,
+                                        TestScalarTime.OSC, t),),
+        lambda t: sx.ode_residuals(TestScalarTime.SQ, TestScalarTime.OSC, t),
+    ], ids=["quadrature_shape", "center_state", "accumulated_phase", "ode_residuals"])
+    def test_scalar_matches_array_element(self, closed_form):
+        columns = closed_form(self.TIMES)
+        for i, t in enumerate(self.TIMES):
+            for scalar, column in zip(closed_form(float(t)), columns):
+                assert type(scalar) is np.float64
+                assert abs(scalar - column[i]) <= 2 * np.spacing(abs(column[i]))
 
 
 class TestConcurrency:

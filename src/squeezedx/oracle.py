@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import BoundaryError, GridMismatchError, InvariantError
 from .states import (
@@ -118,6 +117,9 @@ def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig
 
 def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
                       dt: float, n_steps: int) -> np.ndarray:
+    # scipy.linalg costs ~0.35 s to import and only this scheme needs it
+    from scipy.linalg import lapack
+
     diag, off = _fd3_hamiltonian(grid, osc)
     lam = 0.5j * dt / osc.hbar
 

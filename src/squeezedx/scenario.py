@@ -163,6 +163,14 @@ class Scenario:
         bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
         if bad:
             raise InvariantError(f"scenario {self.name!r}: phase {bad[0]} is not finite")
+        # a grid coarser than the narrowest x standard deviation cannot sample the state
+        g = self.grid
+        narrowest = math.sqrt(osc.ground_variance * (sq.A0 - sq.dA))
+        if not g.spacing <= narrowest:
+            raise InvariantError(
+                f"scenario {self.name!r}: grid x_min={g.x_min!r}, x_max={g.x_max!r}, "
+                f"n_points={g.n_points} has spacing {g.spacing:.6g}, wider than the narrowest "
+                f"x standard deviation {narrowest:.6g}; add points or narrow the grid")
 
     @property
     def osc(self) -> OscillatorConfig:

@@ -570,6 +570,8 @@ def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float) -> f
     d2psi = _spectral_derivative(psi, grid, order=2)
     h_psi = (-osc.hbar**2 / (2.0 * osc.mass) * d2psi
              + 0.5 * osc.mass * osc.angular_frequency**2 * x**2 * psi)
-    num = np.linalg.norm(1j * osc.hbar * dpsi_dt - h_psi)
-    den = np.linalg.norm(h_psi)
+    # scale both vectors to unit peak so the squares in the norms cannot overflow
+    scale = np.abs(h_psi).max()
+    num = np.linalg.norm((1j * osc.hbar * dpsi_dt - h_psi) / scale)
+    den = np.linalg.norm(h_psi / scale)
     return float(num / den)

@@ -243,6 +243,7 @@ def _mp_oracle_exponential(x, a, s):
         return complex(mp.quad(f, pts))
 
 
+@pytest.mark.slow
 def test_criterion_8_gaussian_integral_lemmas():
     rng = np.random.default_rng(108)
     worst = 0.0

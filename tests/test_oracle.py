@@ -1,10 +1,8 @@
 """Numeric-oracle tests: propagators, fidelity, purity, energy."""
 
-import types
-
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 import squeezedx as sx
 from squeezedx import oracle
@@ -203,7 +201,8 @@ class TestFactoredCayley:
         def zgttrf(dl, d, du):
             return dl, d, du, du[:-1], np.zeros(len(d), np.int32), 1
 
-        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(zgttrf=zgttrf))
+        # the propagator imports scipy.linalg.lapack at its first step, so patch the module
+        monkeypatch.setattr(lapack, "zgttrf", zgttrf)
         with pytest.raises(sx.InvariantError, match="singular"):
             sx.propagate(self._psi0(), OSC, sx.PropagatorConfig(
                 scheme="implicit-unitary", dt=T / 64, n_steps=4))
@@ -215,8 +214,7 @@ class TestFactoredCayley:
             solves.append(1)
             return args[-1], 1
 
-        monkeypatch.setattr(oracle, "lapack", types.SimpleNamespace(
-            zgttrf=oracle.lapack.zgttrf, zgttrs=zgttrs))
+        monkeypatch.setattr(lapack, "zgttrs", zgttrs)
         with pytest.raises(sx.InvariantError, match="implicit step 1: zgttrs info = 1"):
             sx.propagate(self._psi0(), OSC, sx.PropagatorConfig(
                 scheme="implicit-unitary", dt=T / 64, n_steps=4))

@@ -64,6 +64,18 @@ def parse_one(obj):
     return parse_config(json.dumps(obj))[0]
 
 
+def child_env():
+    """os.environ with the checkout's absolute ``src`` ahead of PYTHONPATH.
+
+    A child run in tmp_path would resolve a relative PYTHONPATH such as
+    "src" to nothing.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_public_names():
     # the package lists no names itself: they come from the modules' __all__
     assert sx.__all__ == [
@@ -687,6 +699,40 @@ class TestCLI:
                          capsys.readouterr().err)
         assert not out.exists() or not list(out.iterdir())
 
+    def test_huge_energies_leave_the_schrodinger_residual_finite(self, tmp_path, capsys):
+        # hbar = omega = 1e150 puts |H psi| near 1e300: its squared norm overflowed to a NaN
+        # residual.  64 points, not the 40 first seen, pass the grid-spacing rule.
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "huge", "oscillator": {"mass": 1.0, "hbar": 1e150, "angular_frequency": 1e150},
+            "squeeze": {"initial_variance_D": 1.3},
+            "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 64},
+            "sample_times": [0.0], "outputs": ["verify"]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "out") == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if "schrodinger-residual" in line)
+        assert float(re.search(r"max residual = (\S+),", line).group(1)) <= 1e-5
+        assert "PASS" in line
+
+    def test_grid_coarser_than_the_state_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "wide", "squeeze": {"A0": 1.25, "dA": 0.75},
+            "grid": {"x_min": -1e300, "x_max": 1e300, "n_points": 73},
+            "sample_times": [0.0, 2.7155266295336338], "outputs": ["timeseries"]}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert self.run_cli("run", cfg, "--out-dir", out) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert ("grid x_min=-1e+300, x_max=1e+300, n_points=73 has spacing 2.77778e+298, "
+                "wider than the narrowest x standard deviation 0.5") in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_missing_config_exit_2(self, tmp_path):
         assert self.run_cli("run", tmp_path / "nope.json", "--out-dir", tmp_path) == 2
 
@@ -694,16 +740,52 @@ class TestCLI:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"name": "m", "squeeze": {"A0": 0.5, "dA": 0.75},
                                    "outputs": ["verify"]}))
-        # The child runs in tmp_path, where a relative PYTHONPATH such as
-        # "src" resolves to nothing; give it the checkout's source by
-        # absolute path, ahead of whatever PYTHONPATH already holds.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "squeezedx.cli", "run", str(cfg)],
-                              capture_output=True, text=True, cwd=tmp_path, env=env)
+                              capture_output=True, text=True, cwd=tmp_path, env=child_env())
         assert proc.returncode == 3
         assert "A0 > dA" in proc.stderr
+
+
+# Parses every bundled scenario, runs the CLI on the remaining arguments (if
+# any), then prints whether scipy.linalg has been imported.
+IMPORT_PROBE = """
+import sys
+from pathlib import Path
+from squeezedx import cli
+from squeezedx.scenario import parse_config
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    parse_config(path.read_text())
+if len(sys.argv) > 2:
+    assert cli.main(sys.argv[2:]) == 0
+print("scipy.linalg" in sys.modules)
+"""
+
+
+class TestImports:
+    """Only the implicit-unitary propagator loads scipy.linalg, at its first step.
+
+    Each case runs in a fresh interpreter, because this one has long since
+    imported scipy.
+    """
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ([], False),
+        (["run", str(SCENARIOS / "ground_state.json")], False),
+        (["run", str(SCENARIOS / "mixed_p4.json")], False),
+        (["verify", "implicit.json"], True),
+    ], ids=["import-and-parse", "run-split-step", "run-mixed", "verify-implicit"])
+    def test_scipy_linalg_loads_only_for_the_implicit_scheme(self, tmp_path, argv, loaded):
+        (tmp_path / "implicit.json").write_text(json.dumps({
+            "name": "implicit", "squeeze": {"A0": 1.0},
+            "grid": {"x_min": -9.0, "x_max": 9.0, "n_points": 128},
+            "propagator": {"scheme": "implicit-unitary", "dt": 2 * np.pi / 1024},
+            "sample_times": [0.0, 0.5], "outputs": ["verify"]}))
+        if argv:
+            argv = [*argv, "--out-dir", str(tmp_path / "out"), "--quiet"]
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(SCENARIOS), *argv],
+                              capture_output=True, text=True, cwd=tmp_path, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(loaded)]
 
 
 class TestBundledScenarios:

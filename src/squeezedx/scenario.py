@@ -396,13 +396,20 @@ def read_density_dump(path: Path) -> DensityMatrixSample:
         header = fh.readline().strip().split(",")
         if len(header) != 4:
             raise ParseError(f"density dump header must have 4 fields: {header}")
-        n = int(header[0])
-        grid = GridSpec(float(header[1]), float(header[2]), n)
-        data = np.loadtxt(fh, delimiter=",")
+        try:
+            n = int(header[0])
+            x_min, x_max, t = (float(text) for text in header[1:])
+        except ValueError as exc:
+            raise ParseError(f"density dump header field is not a number: {exc}") from None
+        grid = GridSpec(x_min, x_max, n)
+        try:
+            data = np.loadtxt(fh, delimiter=",")
+        except ValueError as exc:
+            raise ParseError(f"density dump body field is not a number: {exc}") from None
     if data.shape != (n * n, 2):
         raise ParseError(f"density dump body must have {n * n} re,im rows, got {data.shape}")
     values = (data[:, 0] + 1j * data[:, 1]).reshape(n, n)
-    return DensityMatrixSample(grid=grid, values=values, time=float(header[3]))
+    return DensityMatrixSample(grid=grid, values=values, time=t)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,7 @@ def test_criterion_8_gaussian_integral_lemmas():
            f"(tol 1e-10) over 100 random complex parameter draws")
 
 
+@pytest.mark.slow
 def test_criterion_9_cli_determinism(tmp_path):
     from pathlib import Path
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"

@@ -275,6 +275,7 @@ RUN_CONFIGS = st.fixed_dictionaries(
 
 
 class TestRunFuzz:
+    @pytest.mark.slow
     @given(config=RUN_CONFIGS)
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     def test_run_and_verify_end_in_an_exit_code(self, config):
@@ -489,6 +490,16 @@ class TestDumps:
         assert header == b"128,-12,12,0"
         assert b",-0\n" in body
         assert body == ref.read_bytes()
+
+    @pytest.mark.parametrize("text, part", [
+        ("abc,-1,1,0\n", "header"),
+        ("16,-1,1,0\n0.5,0\n0.25,abc\n", "body"),
+    ])
+    def test_density_dump_non_numeric_field_is_a_parse_error(self, tmp_path, text, part):
+        path = tmp_path / "dump.csv"
+        path.write_text(text)
+        with pytest.raises(sx.ParseError, match=f"{part} field is not a number: .*'abc'"):
+            read_density_dump(path)
 
     def test_wavefunction_dump(self, tmp_path):
         run2 = dict(FAST_PURE, outputs=["wavefunction"])

@@ -1,11 +1,14 @@
 """Analytic-core tests: closed forms against independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import squeezedx as sx
+from squeezedx.states import _HERM_TILE
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -40,6 +43,68 @@ def two_transform_moments(dm, osc):
     var_p = trapz((-(hbar**2) * derivative_diagonal(2)).real) - mean_p**2
     cov_xp = trapz(((x - mean_x) * (-1j * hbar) * d1).real)
     return mean_x, mean_p, var_x, var_p, cov_xp, float(np.sqrt(var_x * var_p))
+
+
+def one_transform_moments(dm, osc):
+    """Density moments in the plain expression that ``moments`` replaced with a reused buffer."""
+    grid, rho, hbar = dm.grid, dm.values, osc.hbar
+    x = grid.points()
+
+    def trapz(values):
+        return float(np.trapezoid(values, dx=grid.spacing))
+
+    diag = np.diagonal(rho).real
+    mean_x = trapz(x * diag)
+    var_x = trapz((x - mean_x) ** 2 * diag)
+    ik = 1j * grid.wavenumbers()[:, None]
+    rho_k = np.fft.fft(rho, axis=0)
+    d1 = np.diagonal(np.fft.ifft(ik ** 1 * rho_k, axis=0)).copy()
+    d2 = np.diagonal(np.fft.ifft(ik ** 2 * rho_k, axis=0)).copy()
+    mean_p = trapz((-1j * hbar * d1).real)
+    var_p = trapz((-(hbar**2) * d2).real) - mean_p**2
+    cov_xp = trapz(((x - mean_x) * (-1j * hbar) * d1).real)
+    return mean_x, mean_p, var_x, var_p, cov_xp
+
+
+def random_hermitian(n, rng):
+    """An exactly Hermitian complex matrix: (M + M^H) / 2 rounds the same on both sides."""
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (m + m.conj().T)
+
+
+def hermiticity_defect_in_error(values):
+    """The max |rho - rho^H| that DensityMatrixSample reports when it rejects ``values``."""
+    n = values.shape[0]
+    with pytest.raises(sx.InvariantError, match="Hermiticity") as info:
+        sx.DensityMatrixSample(grid=sx.GridSpec(-1.0, 1.0, n), values=values, time=0.0)
+    return float(re.search(r"= (\S+)$", str(info.value)).group(1))
+
+
+def tile_pair_plants(n, rng):
+    """One asymmetric position above and one below the diagonal for every block pair.
+
+    A diagonal block one point wide has no off-diagonal position, so its
+    plant sits on the diagonal itself (an imaginary diagonal is asymmetric).
+    No two plants share a position or sit at each other's mirror.
+    """
+    starts = range(0, n, _HERM_TILE)
+    plants, taken = [], set()
+    for a in starts:
+        for b in (s for s in starts if s >= a):
+            rows = np.arange(a, min(a + _HERM_TILE, n))
+            cols = np.arange(b, min(b + _HERM_TILE, n))
+            if a == b and len(rows) == 1:
+                plants.append((a, a))
+                continue
+            for above in (True, False):
+                while True:
+                    i, j = int(rng.choice(rows)), int(rng.choice(cols))
+                    i, j = (min(i, j), max(i, j)) if above else (max(i, j), min(i, j))
+                    if i != j and (i, j) not in taken and (j, i) not in taken:
+                        break
+                plants.append((i, j))
+                taken.add((i, j))
+    return plants
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +176,30 @@ class TestTypeInvariants:
             sx.WavefunctionSample(grid=grid, values=np.full(16, np.nan, complex), time=0.0)
         with pytest.raises(sx.InvariantError, match="Hermiticity"):
             sx.DensityMatrixSample(grid=grid, values=np.full((16, 16), np.nan, complex), time=0.0)
+
+    @pytest.mark.parametrize("n", [16, 129, 300])
+    def test_hermiticity_check_sees_every_block_pair(self, n):
+        # each plant in turn carries the largest defect, so a block pair the
+        # check skipped would report a smaller value than the full-matrix one
+        rng = np.random.default_rng(n)
+        base = random_hermitian(n, rng)
+        plants = tile_pair_plants(n, rng)
+        for largest in plants:
+            values = base.copy()
+            for i, j in plants:
+                # imaginary, so that a plant on the diagonal is asymmetric too
+                values[i, j] += 1j * (1e-3 if (i, j) == largest else 1e-6 * (1.0 + rng.random()))
+            herm = hermiticity_defect_in_error(values)
+            assert herm == float(np.abs(values - values.conj().T).max())
+            assert herm > 0.5e-3
+
+    @pytest.mark.parametrize("n", [16, 129, 300])
+    @pytest.mark.parametrize("above", [True, False])
+    def test_hermiticity_check_rejects_one_nan_in_the_last_block(self, n, above):
+        values = random_hermitian(n, np.random.default_rng(n))
+        values[(n - 2, n - 1) if above else (n - 1, n - 2)] = np.nan
+        with pytest.raises(sx.InvariantError, match="Hermiticity"):
+            sx.DensityMatrixSample(grid=sx.GridSpec(-1.0, 1.0, n), values=values, time=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +524,18 @@ class TestMoments:
                 m = sx.moments(dm, osc)
                 assert (m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp,
                         m.uncertainty_product) == two_transform_moments(dm, osc)
+
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_density_moments_equal_one_transform_reference_and_leave_rho_alone(self, n):
+        pure = sx.GaussianStateSpec(OSC, pure_squeeze(1.7, 1.1), sx.CenterTrajectory(1.2, 0.3))
+        mixed = sx.reparameterize(sx.MixedGaussianSpec(pure, 0.8 * SGR))
+        for spec, evaluate in ((pure, sx.eval_pure_density), (mixed, sx.eval_mixed_density)):
+            dm = evaluate(spec, sx.GridSpec.for_state(spec, n_points=n), 0.8)
+            before = dm.values.copy()
+            m = sx.moments(dm, OSC)
+            got = (m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp)
+            assert [v.hex() for v in got] == [v.hex() for v in one_transform_moments(dm, OSC)]
+            assert dm.values.tobytes() == before.tobytes()
 
     def test_rejects_unnormalized_input(self):
         spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import InvariantError, ParseError, SqueezedXError
-from .scenario import parse_config, run_scenarios
+from .scenario import DEFAULT_SEED, parse_config, run_scenarios
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", type=Path, help="scenario config (JSON document)")
     common.add_argument("--out-dir", type=Path, default=Path("out"),
                         help="directory for output files (default: ./out)")
-    common.add_argument("--seed", type=_seed, default=12345,
+    common.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="u64 seed for the Monte Carlo ensemble mode only")
     common.add_argument("--quiet", action="store_true",
                         help="print failures only")

@@ -48,6 +48,8 @@ CONVERGENCE_TOL = 1e-8
 MIN_ENSEMBLE_NODES = 16
 # Most complex values (8 MiB) in one block of ensemble member columns.
 BLOCK_VALUES = 2**19
+# Monte Carlo seed when none is given.
+DEFAULT_SEED = 12345
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
 
 def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                              n_nodes: int = 32, *, method: str = "gauss-hermite",
-                             n_samples: int = 100_000, seed: int = 12345,
+                             n_samples: int = 100_000, seed: int = DEFAULT_SEED,
                              check_convergence: bool = True) -> DensityMatrixSample:
     """Brute-force average of pure density matrices over the center spread.
 

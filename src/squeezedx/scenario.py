@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantError, ParseError
 from .mixing import (
+    DEFAULT_SEED,
     MIN_ENSEMBLE_NODES,
     MixedGaussianSpec,
     ensemble_average_density,
@@ -72,10 +72,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 MAX_GRID_POINTS = 4096
 MAX_STEPS = 2**20
 MAX_ENSEMBLE_NODES = 128
-
-# One stepping loop at a time: a loop makes thousands of small numpy calls, and two
-# loops in the pool pass the GIL at each of them and run slower than back to back.
-_STEPPING = threading.Lock()
 
 
 def _fmt(value) -> str:
@@ -195,10 +191,8 @@ class Scenario:
             for t in self.sample_times:
                 target = _step(t, self.dt)
                 if target > done_steps:
-                    cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt,
-                                           n_steps=target - done_steps)
-                    with _STEPPING:
-                        psi = propagate(psi, self.osc, cfg)
+                    cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt, n_steps=target - done_steps)
+                    psi = propagate(psi, self.osc, cfg)
                     done_steps = target
                 fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
             object.__setattr__(self, "_fidelities", tuple(fids))
@@ -498,7 +492,7 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
                f"peak-relative rms at 1e5 samples, seed {seed}", rms, 1e-3)
 
 
-def verify_scenario(sc: Scenario, seed: int = 12345):
+def verify_scenario(sc: Scenario, seed: int = DEFAULT_SEED):
     """Run all verification checks; returns (all_passed, [(ok, line), ...])."""
     lines: list = []
     if sc.is_mixed:
@@ -524,7 +518,7 @@ class ScenarioResult:
         return all(ok for ok, _ in self.lines)
 
 
-def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345) -> ScenarioResult:
+def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> ScenarioResult:
     """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
     out_dir.mkdir(parents=True, exist_ok=True)
     files: list = []
@@ -547,8 +541,11 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = 12345) -> ScenarioResu
     return ScenarioResult(name=sc.name, lines=lines, files=files)
 
 
-def run_scenarios(scenarios, out_dir: Path, seed: int = 12345):
-    """Run scenarios in parallel; results come back in input order."""
+def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
+    """Run scenarios in a pool, results in input order.  Pure trajectories are stepped first,
+    here and one at a time: two stepping loops in the pool would trade the GIL at every step."""
+    for sc in scenarios:
+        if not sc.is_mixed and {"timeseries", "verify"} & set(sc.outputs):
+            sc.fidelities()
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-        futures = [pool.submit(run_scenario, sc, out_dir, seed) for sc in scenarios]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda sc: run_scenario(sc, out_dir, seed), scenarios))

@@ -408,6 +408,19 @@ class TestPool:
         assert all(r.verified for r in results)
         assert peak[0] == 1
 
+    def test_every_propagation_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        real_propagate = scenario.propagate
+        threads = []
+
+        def watched_propagate(psi, osc, cfg):
+            threads.append(threading.get_ident())
+            return real_propagate(psi, osc, cfg)
+
+        monkeypatch.setattr(scenario, "propagate", watched_propagate)
+        results = scenario.run_scenarios(small_pure_scenarios(), tmp_path)
+        assert all(r.verified for r in results)
+        assert threads and set(threads) == {threading.get_ident()}
+
     def test_pooled_products_match_serial_runs(self, tmp_path):
         scenarios = small_pure_scenarios()
         pooled = scenario.run_scenarios(scenarios, tmp_path / "pool")
@@ -604,6 +617,19 @@ class TestCLI:
             "sample_times": [k * T / segments for k in range(segments // 2 + 1)],
             "outputs": ["verify"]}))
         assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o", "--quiet") == 0
+
+    def test_a_failed_trajectory_stops_the_run_before_any_product(self, tmp_path, capsys):
+        # the second scenario passes parse, but its edge amplitude 6.616e-08 trips the
+        # propagator's 1e-12 entry gate; every trajectory is stepped before any file is written
+        good = dict(FAST_PURE, name="good", squeeze={"A0": 1.0}, outputs=["timeseries"])
+        bad = dict(good, name="bad", grid={"x_min": -5.7, "x_max": 5.7, "n_points": 128})
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({"scenarios": [good, bad]}))
+        out = tmp_path / "o"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert "boundary contamination in the initial state: edge amplitude 6.616e-08" in err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_parse_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

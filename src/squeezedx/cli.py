@@ -5,7 +5,7 @@
     squeezedx dump-density <config> --time <t>   write a density-matrix dump
 
 Exit codes: 0 success (all requested verifications passed), 1 verification
-or numerical failure, 2 config parse error, 3 invariant violation.
+or numerical failure, 2 parse error or unusable path, 3 invariant violation.
 """
 
 from __future__ import annotations

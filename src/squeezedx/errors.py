@@ -20,7 +20,7 @@ class SqueezedXError(Exception):
 
 
 class ParseError(SqueezedXError, ValueError):
-    """A scenario config is malformed (bad JSON, unknown or missing keys)."""
+    """A config is malformed (bad JSON, unknown or missing keys) or a CLI path is unusable."""
 
 
 class InvariantError(SqueezedXError, ValueError):

@@ -32,8 +32,8 @@ from .states import (
     GridSpec,
     OscillatorConfig,
     WavefunctionSample,
-    _spectral_derivative,
     _trapz,
+    moments,
 )
 
 __all__ = [
@@ -185,16 +185,16 @@ def energy_expectation(wf: WavefunctionSample, osc: OscillatorConfig,
                        kinetic: str = "spectral") -> float:
     """<H> of a sampled wavefunction.
 
-    ``kinetic="spectral"`` uses the Fourier derivative (matches the split-step
-    scheme's Hamiltonian); ``kinetic="fd3"`` uses the three-point Laplacian
-    quadratic form that the implicit-unitary scheme conserves exactly.
+    ``kinetic="spectral"`` is <p^2>/2m + m omega^2 <x^2>/2 from ``moments`` (the
+    split-step scheme's Hamiltonian); ``kinetic="fd3"`` uses the three-point
+    Laplacian quadratic form that the implicit-unitary scheme conserves exactly.
     """
-    psi = wf.values
     if kinetic == "spectral":
-        pot = float(_trapz(_potential(wf.grid, osc) * np.abs(psi) ** 2, wf.grid))
-        dpsi = _spectral_derivative(psi, wf.grid)
-        return float(osc.hbar**2 / (2.0 * osc.mass) * _trapz(np.abs(dpsi) ** 2, wf.grid)) + pot
+        m = moments(wf, osc)
+        return ((m.var_p + m.mean_p**2) / (2.0 * osc.mass)
+                + 0.5 * osc.mass * osc.angular_frequency**2 * (m.var_x + m.mean_x**2))
     if kinetic == "fd3":
+        psi = wf.values
         # plain l2 form h <psi|H|psi>: the quantity the Cayley scheme conserves
         diag, off = _fd3_hamiltonian(wf.grid, osc)
         h_psi = diag * psi

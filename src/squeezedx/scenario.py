@@ -418,9 +418,9 @@ def _check(lines, name, label, what, value, tol) -> None:
 
 
 def _probe_times(sc: Scenario) -> list:
-    """First, middle and last sample time."""
+    """First, middle and last sample time, each distinct time once."""
     times = sc.sample_times
-    return [times[0], times[len(times) // 2], times[-1]]
+    return list(dict.fromkeys([times[0], times[len(times) // 2], times[-1]]))
 
 
 def _verify_pure(sc: Scenario, lines: list) -> None:
@@ -518,32 +518,45 @@ class ScenarioResult:
         return all(ok for ok, _ in self.lines)
 
 
+def _make_out_dir(scenarios, out_dir: Path) -> None:
+    """Create ``out_dir`` if some scenario writes a product file."""
+    if any(product != "verify" for sc in scenarios for product in sc.outputs):
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParseError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+
+
 def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> ScenarioResult:
     """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir([sc], out_dir)
     files: list = []
     lines: list = []
+    t = sc.sample_times[-1]
     for product in sc.outputs:
-        if product == "timeseries":
-            path = out_dir / f"{sc.name}_timeseries.csv"
-            emit_timeseries(sc, path)
-            files.append(path)
-        elif product in ("wavefunction", "density"):
-            t = sc.sample_times[-1]
-            path = out_dir / f"{sc.name}_{product}_t{t:.6g}.csv"
-            if product == "wavefunction":
+        if product == "verify":
+            lines.extend(verify_scenario(sc, seed=seed)[1])
+            continue
+        path = out_dir / (f"{sc.name}_timeseries.csv" if product == "timeseries"
+                          else f"{sc.name}_{product}_t{t:.6g}.csv")
+        try:
+            if product == "timeseries":
+                emit_timeseries(sc, path)
+            elif product == "wavefunction":
                 write_wavefunction_dump(sc, t, path)
             else:
                 write_density_dump(density_at(sc, t), path)
-            files.append(path)
-        elif product == "verify":
-            lines.extend(verify_scenario(sc, seed=seed)[1])
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+        files.append(path)
     return ScenarioResult(name=sc.name, lines=lines, files=files)
 
 
 def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
-    """Run scenarios in a pool, results in input order.  Pure trajectories are stepped first,
-    here and one at a time: two stepping loops in the pool would trade the GIL at every step."""
+    """Run scenarios in a pool, results in input order.  The output directory is made first,
+    then pure trajectories are stepped, here and one at a time: two stepping loops in the
+    pool would trade the GIL at every step."""
+    _make_out_dir(scenarios, out_dir)
     for sc in scenarios:
         if not sc.is_mixed and {"timeseries", "verify"} & set(sc.outputs):
             sc.fidelities()

@@ -477,66 +477,52 @@ def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Dens
 # moments
 # ---------------------------------------------------------------------------
 
-def _spectral_derivative(values: np.ndarray, grid: GridSpec, order: int = 1) -> np.ndarray:
-    ik = (1j * grid.wavenumbers()) ** order
-    return np.fft.ifft(ik * np.fft.fft(values))
+def _spectral_derivatives(values: np.ndarray, grid: GridSpec) -> tuple:
+    """(psi', psi'') of the periodic extension of ``values``, from one forward transform."""
+    ik = 1j * grid.wavenumbers()
+    values_k = np.fft.fft(values)
+    return np.fft.ifft(ik * values_k), np.fft.ifft(ik ** 2 * values_k)
 
 
-def _wavefunction_moments(wf: WavefunctionSample, osc: OscillatorConfig) -> Moments:
-    x = wf.grid.points()
-    psi = wf.values
-    hbar = osc.hbar
-    prob = np.abs(psi) ** 2
-    mean_x = float(_trapz(x * prob, wf.grid))
-    var_x = float(_trapz((x - mean_x) ** 2 * prob, wf.grid))
-    dpsi = _spectral_derivative(psi, wf.grid)
-    mean_p = float(hbar * _trapz((np.conj(psi) * dpsi).imag, wf.grid))
-    mean_p2 = float(hbar**2 * _trapz(np.abs(dpsi) ** 2, wf.grid))
-    var_p = mean_p2 - mean_p**2
-    # symmetrized covariance: Re<(x - <x>)(p - <p>)> = hbar Im int psi* (x - <x>) psi'
-    cov_xp = float(hbar * _trapz(((x - mean_x) * np.conj(psi) * dpsi).imag, wf.grid))
-    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p, cov_xp=cov_xp)
-
-
-def _density_moments(dm: DensityMatrixSample, osc: OscillatorConfig) -> Moments:
-    x = dm.grid.points()
-    rho = dm.values
-    hbar = osc.hbar
-    diag = np.diagonal(rho).real
-    mean_x = float(_trapz(x * diag, dm.grid))
-    var_x = float(_trapz((x - mean_x) ** 2 * diag, dm.grid))
-    ik = 1j * dm.grid.wavenumbers()[:, None]
-    rho_k = np.fft.fft(rho, axis=0)  # feeds both derivatives; only their diagonals are kept
-    # one scratch buffer takes both derivatives in turn; it is never the caller's rho
-    buf = np.empty_like(rho_k)
-    d1_diag, d2_diag = (
-        np.diagonal(np.fft.ifft(np.multiply(ik ** order, rho_k, out=buf), axis=0, out=buf)).copy()
-        for order in (1, 2))
-    mean_p = float(_trapz((-1j * hbar * d1_diag).real, dm.grid))
-    mean_p2 = float(_trapz((-(hbar**2) * d2_diag).real, dm.grid))
-    var_p = mean_p2 - mean_p**2
-    # symmetrized covariance: Re Tr[(x - <x>)(p - <p>) rho]
-    cov_xp = float(_trapz(((x - mean_x) * (-1j * hbar) * d1_diag).real, dm.grid))
-    return Moments(mean_x=mean_x, mean_p=mean_p, var_x=var_x, var_p=var_p, cov_xp=cov_xp)
+def _diagonals(sample) -> tuple:
+    """rho(x, x), d/dx rho(x, x') and d^2/dx^2 rho(x, x') at x' = x; derivatives are spectral."""
+    if isinstance(sample, WavefunctionSample):
+        psi = sample.values
+        d1, d2 = _spectral_derivatives(psi, sample.grid)
+        return np.abs(psi) ** 2, d1 * np.conj(psi), d2 * np.conj(psi)
+    if isinstance(sample, DensityMatrixSample):
+        rho = sample.values
+        ik = 1j * sample.grid.wavenumbers()[:, None]
+        rho_k = np.fft.fft(rho, axis=0)  # feeds both derivatives; only their diagonals are kept
+        # one scratch buffer takes both derivatives in turn; it is never the caller's rho
+        buf = np.empty_like(rho_k)
+        d1_diag, d2_diag = (
+            np.diagonal(np.fft.ifft(np.multiply(ik ** order, rho_k, out=buf), axis=0, out=buf)).copy()
+            for order in (1, 2))
+        return np.diagonal(rho).real, d1_diag, d2_diag
+    raise TypeError(
+        f"moments expects a WavefunctionSample or DensityMatrixSample, got {type(sample)!r}")
 
 
 def moments(sample, osc: OscillatorConfig) -> Moments:
     """Grid-quadrature moments of a wavefunction or density-matrix sample.
 
-    Derivatives are spectral; the input must be normalized (trapezoid norm
-    or trace within 1e-6 of 1).
+    One trapezoid quadrature over the three diagonals of ``_diagonals``; the input
+    must be normalized (trapezoid integral of rho(x, x) within 1e-6 of 1).
     """
-    if isinstance(sample, WavefunctionSample):
-        if abs(sample.norm() - 1.0) > 1e-6:
-            raise InvariantError(f"moments requires a normalized input: norm={sample.norm()!r}")
-        mom = _wavefunction_moments(sample, osc)
-    elif isinstance(sample, DensityMatrixSample):
-        if abs(sample.trace() - 1.0) > 1e-6:
-            raise InvariantError(f"moments requires unit trace: trace={sample.trace()!r}")
-        mom = _density_moments(sample, osc)
-    else:
-        raise TypeError(
-            f"moments expects a WavefunctionSample or DensityMatrixSample, got {type(sample)!r}")
+    diag, d1_diag, d2_diag = _diagonals(sample)
+    grid, hbar = sample.grid, osc.hbar
+    norm = float(_trapz(diag, grid))
+    if not abs(norm - 1.0) <= 1e-6:
+        raise InvariantError(f"moments requires a normalized input: int rho(x, x) dx = {norm!r}")
+    x = grid.points()
+    mean_x = float(_trapz(x * diag, grid))
+    var_x = float(_trapz((x - mean_x) ** 2 * diag, grid))
+    mean_p = float(_trapz((-1j * hbar * d1_diag).real, grid))
+    mean_p2 = float(_trapz((-(hbar**2) * d2_diag).real, grid))
+    # symmetrized covariance: Re Tr[(x - <x>)(p - <p>) rho]
+    cov_xp = float(_trapz(((x - mean_x) * (-1j * hbar) * d1_diag).real, grid))
+    mom = Moments(mean_x, mean_p, var_x, mean_p2 - mean_p**2, cov_xp)
     if not (mom.var_x > 0.0 and mom.var_p > 0.0):
         raise InvariantError(
             f"moment invariant var_x, var_p > 0 violated: var_x={mom.var_x!r}, "
@@ -594,7 +580,7 @@ def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float) -> f
     x = grid.points()
     psi = _pure_psi(spec, x, t)
     dpsi_dt = (_pure_psi(spec, x, t + dt_fd) - _pure_psi(spec, x, t - dt_fd)) / (2.0 * dt_fd)
-    d2psi = _spectral_derivative(psi, grid, order=2)
+    _, d2psi = _spectral_derivatives(psi, grid)
     h_psi = (-osc.hbar**2 / (2.0 * osc.mass) * d2psi
              + 0.5 * osc.mass * osc.angular_frequency**2 * x**2 * psi)
     # scale both vectors to unit peak so the squares in the norms cannot overflow

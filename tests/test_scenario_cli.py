@@ -57,6 +57,40 @@ GROUND_STATE_DIGESTS = {
     "ground_state_timeseries.csv": "ce0d1d70be76e978bfaeb9202c47e0f75dda8634d23ae2c6ad4c9479dda0f9b0",
 }
 
+# The check lines `squeezedx verify` prints for each bundled scenario, as recorded before the
+# wavefunction and density moments were merged into one quadrature.
+VERIFY_LINES = {
+    "ground_state": [
+        "[ground_state] norm-conservation: PASS (max |norm-1| = 2.220e-16, tol 1e-08, margin 1.000e-08)",
+        "[ground_state] ode-residuals: PASS (max residual = 6.989e-11, tol 1e-06, margin 9.999e-07)",
+        "[ground_state] schrodinger-residual: PASS (max residual = 1.662e-10, tol 1e-05, margin 1.000e-05)",
+        "[ground_state] variance-law: PASS (max rel |var_x - sigma_gr^2 A| = 4.441e-16, tol 1e-08, "
+        "margin 1.000e-08)",
+        "[ground_state] phase-law: PASS (max |dphi - pi/2| = 4.441e-16, tol 1e-09, margin 1.000e-09)",
+        "[ground_state] ground-phase: PASS (max |phi - phi(0) - omega t / 2| = 0.000e+00, tol 1e-12, "
+        "margin 1.000e-12)",
+        "[ground_state] propagation-fidelity: PASS (1 - min fidelity = 6.843e-13, tol 1e-06, "
+        "margin 1.000e-06)",
+    ],
+    "squeezed_vacuum": [
+        "[squeezed_vacuum] norm-conservation: PASS (max |norm-1| = 3.331e-16, tol 1e-08, margin 1.000e-08)",
+        "[squeezed_vacuum] ode-residuals: PASS (max residual = 4.717e-10, tol 1e-06, margin 9.995e-07)",
+        "[squeezed_vacuum] schrodinger-residual: PASS (max residual = 2.562e-10, tol 1e-05, "
+        "margin 1.000e-05)",
+        "[squeezed_vacuum] variance-law: PASS (max rel |var_x - sigma_gr^2 A| = 4.771e-16, tol 1e-08, "
+        "margin 1.000e-08)",
+        "[squeezed_vacuum] phase-law: PASS (max |dphi - pi/2| = 8.882e-16, tol 1e-09, margin 1.000e-09)",
+        "[squeezed_vacuum] propagation-fidelity: PASS (1 - min fidelity = 0.000e+00, tol 1e-06, "
+        "margin 1.000e-06)",
+    ],
+    "mixed_p4": [
+        "[mixed_p4] trace: PASS (max |trace-1| = 0.000e+00, tol 1e-08, margin 1.000e-08)",
+        "[mixed_p4] purity-law: PASS (max |purity - P^-1/2| = 1.832e-15, tol 1e-05, margin 1.000e-05)",
+        "[mixed_p4] ensemble-agreement: PASS (max peak-relative error at 32 nodes = 1.393e-15, tol 1e-08, "
+        "margin 1.000e-08)",
+    ],
+}
+
 CHECK_LINE = re.compile(r"^\[\S+\] \S+: (PASS|FAIL) \(.+ = \S+, tol \S+, margin \S+\)$")
 
 
@@ -476,6 +510,17 @@ class TestVerify:
         assert ok, lines
 
 
+    @pytest.mark.parametrize("times", [[0.7], [0.0, 0.7]], ids=["one", "two"])
+    def test_each_probe_time_is_checked_once(self, monkeypatch, times):
+        probed = []
+        real = scenario.ensemble_average_density
+        monkeypatch.setattr(scenario, "ensemble_average_density",
+                            lambda spec, grid, t, *a, **k: probed.append(t) or real(spec, grid, t, *a, **k))
+        passed, _ = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times)))
+        assert passed
+        assert probed == times
+
+
 class TestDumps:
     def test_density_dump_round_trip(self, tmp_path):
         from squeezedx.scenario import write_density_dump
@@ -770,6 +815,34 @@ class TestCLI:
                 "wider than the narrowest x standard deviation 0.5") in err
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("out, cause", [
+        ("F", "cannot create output directory {tmp}/F: File exists"),
+        ("F/sub", "cannot create output directory {tmp}/F/sub: Not a directory"),
+        ("D", "cannot write {tmp}/D/fast_pure_timeseries.csv: Is a directory"),
+    ], ids=["file", "under-a-file", "product-is-a-directory"])
+    def test_unusable_out_dir_exit_2(self, tmp_path, capsys, monkeypatch, out, cause):
+        (tmp_path / "F").write_text("")
+        (tmp_path / "D" / "fast_pure_timeseries.csv").mkdir(parents=True)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(FAST_PURE))
+        steps = []
+        real = scenario.propagate
+        monkeypatch.setattr(scenario, "propagate",
+                            lambda psi, osc, cfg: steps.append(cfg.n_steps) or real(psi, osc, cfg))
+        assert self.run_cli("run", cfg, "--out-dir", tmp_path / out) == 2
+        assert capsys.readouterr().err.splitlines() == [f"parse error: {cause.format(tmp=tmp_path)}"]
+        # the directory is made before any trajectory is stepped
+        assert bool(steps) == (out == "D")
+
+    def test_verify_writes_nothing(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(FAST_MIXED))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.chdir(empty)
+        assert self.run_cli("verify", cfg, "--quiet") == 0
+        assert not list(empty.iterdir())
+
     def test_missing_config_exit_2(self, tmp_path):
         assert self.run_cli("run", tmp_path / "nope.json", "--out-dir", tmp_path) == 2
 
@@ -839,3 +912,11 @@ class TestBundledScenarios:
                          "--out-dir", str(tmp_path), "--quiet"]) == 0
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in recorded}
         assert digests == recorded
+
+    @pytest.mark.parametrize("name", ["ground_state", "squeezed_vacuum", "mixed_p4"])
+    def test_verify_prints_recorded_check_lines(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", str(SCENARIOS / f"{name}.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == VERIFY_LINES[name]
+        assert captured.err == ""

@@ -67,8 +67,10 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
 # Parse-time bounds, checked before anything is allocated: one N x N complex
-# density at 4096 points takes 256 MiB; 2**20 steps are 128 periods at dt = T/8192;
-# 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536 members.
+# density at 4096 points takes 256 MiB, and a timeseries row adds only tiles of
+# states.TILE_VALUES to it (row peak measured with tracemalloc at 2048 points: 65.0 MiB
+# for a 64 MiB matrix); 2**20 steps are 128 periods at dt = T/8192; 128 nodes per axis
+# let the node-doubling guard sum at most 256**2 = 65,536 members.
 MAX_GRID_POINTS = 4096
 MAX_STEPS = 2**20
 MAX_ENSEMBLE_NODES = 128
@@ -518,18 +520,33 @@ class ScenarioResult:
         return all(ok for ok, _ in self.lines)
 
 
-def _make_out_dir(scenarios, out_dir: Path) -> None:
-    """Create ``out_dir`` if some scenario writes a product file."""
-    if any(product != "verify" for sc in scenarios for product in sc.outputs):
+def _product_paths(sc: Scenario, out_dir: Path) -> dict:
+    """The file of each product in ``sc.outputs`` but verify."""
+    t = sc.sample_times[-1]
+    return {product: out_dir / (f"{sc.name}_timeseries.csv" if product == "timeseries"
+                                else f"{sc.name}_{product}_t{t:.6g}.csv")
+            for product in sc.outputs if product != "verify"}
+
+
+def _prepare_out_dir(scenarios, out_dir: Path) -> None:
+    """Create ``out_dir`` if some scenario writes a product file, then refuse any product
+    path that is a directory, so that a bad path stops the command before anything is
+    computed or written."""
+    paths = [path for sc in scenarios for path in _product_paths(sc, out_dir).values()]
+    if paths:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ParseError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    for path in paths:
+        if path.is_dir():
+            raise ParseError(f"cannot write {path}: Is a directory")
 
 
 def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> ScenarioResult:
     """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
-    _make_out_dir([sc], out_dir)
+    _prepare_out_dir([sc], out_dir)
+    paths = _product_paths(sc, out_dir)
     files: list = []
     lines: list = []
     t = sc.sample_times[-1]
@@ -537,8 +554,7 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
         if product == "verify":
             lines.extend(verify_scenario(sc, seed=seed)[1])
             continue
-        path = out_dir / (f"{sc.name}_timeseries.csv" if product == "timeseries"
-                          else f"{sc.name}_{product}_t{t:.6g}.csv")
+        path = paths[product]
         try:
             if product == "timeseries":
                 emit_timeseries(sc, path)
@@ -553,10 +569,10 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
 
 
 def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
-    """Run scenarios in a pool, results in input order.  The output directory is made first,
-    then pure trajectories are stepped, here and one at a time: two stepping loops in the
-    pool would trade the GIL at every step."""
-    _make_out_dir(scenarios, out_dir)
+    """Run scenarios in a pool, results in input order.  The output directory is made and
+    every product path checked first, then pure trajectories are stepped, here and one at a
+    time: two stepping loops in the pool would trade the GIL at every step."""
+    _prepare_out_dir(scenarios, out_dir)
     for sc in scenarios:
         if not sc.is_mixed and {"timeseries", "verify"} & set(sc.outputs):
             sc.fidelities()

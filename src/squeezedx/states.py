@@ -22,6 +22,7 @@ types; nothing mutates shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,24 +249,32 @@ class WavefunctionSample:
         return float(_trapz(np.abs(self.values) ** 2, self.grid))
 
 
-# Edge of the square blocks in which the Hermiticity check walks a density matrix.
-_HERM_TILE = 128
+# Most complex values (256 KiB) in one tile of an N x N walk.  Building, differentiating
+# and checking a density go through it in tiles of this size; each element's arithmetic
+# is that of a whole-matrix expression, so the tiling moves no bit.
+TILE_VALUES = 2**14
+
+
+def _tile_lines(n: int) -> int:
+    """Rows (or columns) of an n x n matrix in one tile: at least one, at most n."""
+    return min(n, max(1, TILE_VALUES // n))
 
 
 def _peak_and_hermiticity_defect(values: np.ndarray) -> tuple:
-    """max |rho| and max |rho - rho^H|, one cache-sized block pair at a time.
+    """max |rho| and max |rho - rho^H|, one square tile pair at a time.
 
     |rho_ij - conj(rho_ji)| = |rho_ji - conj(rho_ij)| holds bitwise, so each
-    upper block against its mirrored lower block gives exactly the
+    upper tile against its mirrored lower tile gives exactly the
     full-matrix values.  The tile maxima are reduced by numpy, so a NaN
     anywhere propagates to the result.
     """
     n = values.shape[0]
+    edge = math.isqrt(TILE_VALUES)
     peaks, defects = [], []
-    for i in range(0, n, _HERM_TILE):
-        for j in range(i, n, _HERM_TILE):
-            upper = values[i:i + _HERM_TILE, j:j + _HERM_TILE]
-            lower = values[j:j + _HERM_TILE, i:i + _HERM_TILE]
+    for i in range(0, n, edge):
+        for j in range(i, n, edge):
+            upper = values[i:i + edge, j:j + edge]
+            lower = values[j:j + edge, i:i + edge]
             defects.append(np.abs(upper - lower.conj().T).max())
             peaks.append(np.abs(upper).max())
             if j > i:
@@ -450,7 +459,7 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
 
     The factors separate the mean coordinate sum s = (x+x')/2 - x_c and the
     separation d = x - x'; P = 1 is the pure state psi(x) psi*(x'), whose
-    global phase cancels.
+    global phase cancels.  The matrix is filled one tile of rows at a time.
     """
     grid.require_coverage(spec)
     osc = spec.osc
@@ -458,12 +467,17 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
     A, B = quadrature_shape(spec.squeeze, osc.angular_frequency, t)
     x_c, p_c = center_state(spec.center, osc, t)
     x = grid.points()
-    s = 0.5 * (x[:, None] + x[None, :]) - x_c
-    d = x[:, None] - x[None, :]
-    rho = (np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
-                  - 1j * B * s * d / (2.0 * s2 * A)
-                  + 1j * p_c * d / osc.hbar)
-           / np.sqrt(2.0 * np.pi * s2 * A))
+    rho = np.empty((x.size, x.size), dtype=complex)
+    rows = _tile_lines(x.size)
+    for i in range(0, x.size, rows):
+        xi = x[i:i + rows, None]
+        s = 0.5 * (xi + x) - x_c
+        d = xi - x
+        tile = rho[i:i + rows]
+        np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
+               - 1j * B * s * d / (2.0 * s2 * A)
+               + 1j * p_c * d / osc.hbar, out=tile)
+        tile /= np.sqrt(2.0 * np.pi * s2 * A)
     return DensityMatrixSample(grid=grid, values=rho, time=t)
 
 
@@ -492,13 +506,20 @@ def _diagonals(sample) -> tuple:
         return np.abs(psi) ** 2, d1 * np.conj(psi), d2 * np.conj(psi)
     if isinstance(sample, DensityMatrixSample):
         rho = sample.values
+        n = rho.shape[0]
         ik = 1j * sample.grid.wavenumbers()[:, None]
-        rho_k = np.fft.fft(rho, axis=0)  # feeds both derivatives; only their diagonals are kept
-        # one scratch buffer takes both derivatives in turn; it is never the caller's rho
-        buf = np.empty_like(rho_k)
-        d1_diag, d2_diag = (
-            np.diagonal(np.fft.ifft(np.multiply(ik ** order, rho_k, out=buf), axis=0, out=buf)).copy()
-            for order in (1, 2))
+        factors = [ik ** order for order in (1, 2)]
+        d1_diag, d2_diag = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        cols = _tile_lines(n)
+        # one scratch buffer takes both derivatives of each tile of columns in turn; only the
+        # tile's diagonal entries (j + c, c) are kept, and the caller's rho is never written
+        buf = np.empty((n, cols), dtype=complex)
+        for j in range(0, n, cols):
+            rho_k = np.fft.fft(rho[:, j:j + cols], axis=0)
+            tile = buf[:, :rho_k.shape[1]]
+            for factor, diag in zip(factors, (d1_diag, d2_diag)):
+                np.fft.ifft(np.multiply(factor, rho_k, out=tile), axis=0, out=tile)
+                diag[j:j + cols] = np.diagonal(tile[j:])
         return np.diagonal(rho).real, d1_diag, d2_diag
     raise TypeError(
         f"moments expects a WavefunctionSample or DensityMatrixSample, got {type(sample)!r}")

@@ -57,6 +57,20 @@ GROUND_STATE_DIGESTS = {
     "ground_state_timeseries.csv": "ce0d1d70be76e978bfaeb9202c47e0f75dda8634d23ae2c6ad4c9479dda0f9b0",
 }
 
+# SHA-256 of the `squeezedx dump-density` file of each bundled scenario at two times, recorded
+# before the density build and its derivatives were tiled.
+DENSITY_DUMP_DIGESTS = {
+    ("ground_state", "0.25"): "2d360afc4b1b33caf3236c1ce9dd651c01209921a8bd514668166bb941297cda",
+    ("ground_state", "6.1850105367549055"):
+        "70685b83935a47b1e694903c2df238dd15844b8da7cfd7c155c35eccb3eacaf7",
+    ("squeezed_vacuum", "0.25"): "32c7dd464156c7d30f5ffdea9f7289e19c4a30ab20f5807c71796a43b3882a92",
+    ("squeezed_vacuum", "6.1850105367549055"):
+        "625ac081354b37a1b58b958bda76c36c5a54359e7094e3a94ad677ec69d58595",
+    ("mixed_p4", "0.25"): "d565cc63d8a42548345d61300c8c7fb36a12dac57b1f29d1ec4a7b39de0d0586",
+    ("mixed_p4", "6.1850105367549055"):
+        "a9da6630a8eec268c33e72d4b562eb0c943ba478730fbd315624c0d586b6d5dc",
+}
+
 # The check lines `squeezedx verify` prints for each bundled scenario, as recorded before the
 # wavefunction and density moments were merged into one quadrature.
 VERIFY_LINES = {
@@ -831,8 +845,21 @@ class TestCLI:
                             lambda psi, osc, cfg: steps.append(cfg.n_steps) or real(psi, osc, cfg))
         assert self.run_cli("run", cfg, "--out-dir", tmp_path / out) == 2
         assert capsys.readouterr().err.splitlines() == [f"parse error: {cause.format(tmp=tmp_path)}"]
-        # the directory is made before any trajectory is stepped
-        assert bool(steps) == (out == "D")
+        # the directory is made and every product path checked before any trajectory is stepped
+        assert not steps
+
+    def test_a_product_path_that_is_a_directory_stops_every_scenario(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        (out / "fast_mixed_timeseries.csv").mkdir(parents=True)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({"scenarios": [FAST_PURE, FAST_MIXED]}))
+        assert self.run_cli("run", cfg, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"parse error: cannot write {out}/fast_mixed_timeseries.csv: Is a directory"]
+        assert captured.out == ""
+        assert [p.name for p in out.iterdir()] == ["fast_mixed_timeseries.csv"]
+        assert not list((out / "fast_mixed_timeseries.csv").iterdir())
 
     def test_verify_writes_nothing(self, tmp_path, monkeypatch):
         cfg = tmp_path / "sc.json"
@@ -912,6 +939,14 @@ class TestBundledScenarios:
                          "--out-dir", str(tmp_path), "--quiet"]) == 0
         digests = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in recorded}
         assert digests == recorded
+
+    @pytest.mark.parametrize("name, time", sorted(DENSITY_DUMP_DIGESTS))
+    def test_dump_density_reproduces_recorded_digests(self, name, time, tmp_path):
+        assert cli.main(["dump-density", str(SCENARIOS / f"{name}.json"), "--time", time,
+                         "--out-dir", str(tmp_path), "--quiet"]) == 0
+        (dump,) = tmp_path.iterdir()
+        assert dump.name == f"{name}_density_t{float(time):.6g}.csv"
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == DENSITY_DUMP_DIGESTS[name, time]
 
     @pytest.mark.parametrize("name", ["ground_state", "squeezed_vacuum", "mixed_p4"])
     def test_verify_prints_recorded_check_lines(self, name, tmp_path, capsys, monkeypatch):

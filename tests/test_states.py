@@ -1,14 +1,19 @@
 """Analytic-core tests: closed forms against independent oracles."""
 
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import squeezedx as sx
-from squeezedx.states import _HERM_TILE
+from squeezedx import states
+
+# Edge of the square tiles in which DensityMatrixSample checks Hermiticity.
+HERM_EDGE = math.isqrt(states.TILE_VALUES)
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -45,8 +50,15 @@ def two_transform_moments(dm, osc):
     return mean_x, mean_p, var_x, var_p, cov_xp, float(np.sqrt(var_x * var_p))
 
 
+def whole_matrix_derivative_diagonals(rho, grid):
+    """Diagonals of d/dx rho and d^2/dx^2 rho from one whole-matrix FFT of rho."""
+    ik = 1j * grid.wavenumbers()[:, None]
+    rho_k = np.fft.fft(rho, axis=0)
+    return tuple(np.diagonal(np.fft.ifft(ik ** order * rho_k, axis=0)).copy() for order in (1, 2))
+
+
 def one_transform_moments(dm, osc):
-    """Density moments in the plain expression that ``moments`` replaced with a reused buffer."""
+    """Density moments in the plain whole-matrix expression that ``moments`` walks in tiles."""
     grid, rho, hbar = dm.grid, dm.values, osc.hbar
     x = grid.points()
 
@@ -56,14 +68,52 @@ def one_transform_moments(dm, osc):
     diag = np.diagonal(rho).real
     mean_x = trapz(x * diag)
     var_x = trapz((x - mean_x) ** 2 * diag)
-    ik = 1j * grid.wavenumbers()[:, None]
-    rho_k = np.fft.fft(rho, axis=0)
-    d1 = np.diagonal(np.fft.ifft(ik ** 1 * rho_k, axis=0)).copy()
-    d2 = np.diagonal(np.fft.ifft(ik ** 2 * rho_k, axis=0)).copy()
+    d1, d2 = whole_matrix_derivative_diagonals(rho, grid)
     mean_p = trapz((-1j * hbar * d1).real)
     var_p = trapz((-(hbar**2) * d2).real) - mean_p**2
     cov_xp = trapz(((x - mean_x) * (-1j * hbar) * d1).real)
     return mean_x, mean_p, var_x, var_p, cov_xp
+
+
+def whole_matrix_density(spec, grid, t, P):
+    """The Gaussian density as one whole-matrix expression: the untiled build."""
+    osc = spec.osc
+    s2 = osc.ground_variance
+    A, B = sx.quadrature_shape(spec.squeeze, osc.angular_frequency, t)
+    x_c, p_c = sx.center_state(spec.center, osc, t)
+    x = grid.points()
+    s = 0.5 * (x[:, None] + x[None, :]) - x_c
+    d = x[:, None] - x[None, :]
+    return (np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
+                   - 1j * B * s * d / (2.0 * s2 * A)
+                   + 1j * p_c * d / osc.hbar)
+            / np.sqrt(2.0 * np.pi * s2 * A))
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@st.composite
+def resolved_gaussian_states(draw):
+    """(spec, grid): a Gaussian state with P >= 1 on a grid of n >= 24 points that resolves it.
+
+    The grid spans X_amp + 8.5 maximal standard deviations each side; its spacing
+    stays below 0.8 of the narrowest x standard deviation, so the trapezoid trace
+    of the density is 1 well within NORM_TOL.
+    """
+    n = draw(st.integers(24, 300))
+    P = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
+    # width ratio sqrt((A0 + dA) / (A0 - dA)), capped so that n points resolve the state
+    r = draw(st.floats(1.0, 1.0 + (n - 24) / 40))
+    A0 = np.sqrt(P) * 0.5 * (r + 1.0 / r)
+    dA = np.sqrt(P) * 0.5 * (r - 1.0 / r)
+    squeeze = sx.SqueezeDynamics(A0, dA, draw(st.floats(0.0, 2 * np.pi)))
+    center = sx.CenterTrajectory(draw(st.floats(0.0, 0.5)) * SGR, draw(st.floats(0.0, 2 * np.pi)))
+    spec = sx.GaussianStateSpec(OSC, squeeze, center)
+    grid = sx.GridSpec.for_state(spec, n_points=n, margin=8.5)
+    assume(grid.spacing <= 0.8 * np.sqrt(SGR2 * (A0 - dA)))
+    return spec, grid
 
 
 def random_hermitian(n, rng):
@@ -87,12 +137,12 @@ def tile_pair_plants(n, rng):
     plant sits on the diagonal itself (an imaginary diagonal is asymmetric).
     No two plants share a position or sit at each other's mirror.
     """
-    starts = range(0, n, _HERM_TILE)
+    starts = range(0, n, HERM_EDGE)
     plants, taken = [], set()
     for a in starts:
         for b in (s for s in starts if s >= a):
-            rows = np.arange(a, min(a + _HERM_TILE, n))
-            cols = np.arange(b, min(b + _HERM_TILE, n))
+            rows = np.arange(a, min(a + HERM_EDGE, n))
+            cols = np.arange(b, min(b + HERM_EDGE, n))
             if a == b and len(rows) == 1:
                 plants.append((a, a))
                 continue
@@ -456,6 +506,48 @@ class TestEvalPureDensity:
         grid = sx.GridSpec.for_state(self.SPEC, n_points=256)
         dm = sx.eval_pure_density(self.SPEC, grid, 2.7)
         assert sx.purity(dm) == pytest.approx(1.0, abs=1e-6)
+
+
+def state_on(n, A0=1.0, dA=0.0):
+    """A pure state centered at 0 on an n-point grid 8.5 maximal standard deviations wide."""
+    spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(A0, dA, 0.3))
+    return spec, sx.GridSpec.for_state(spec, n_points=n, margin=8.5)
+
+
+class TestTiledKernels:
+    """The tiled density build and derivative diagonals against their whole-matrix expressions."""
+
+    @given(state=resolved_gaussian_states(), t=st.floats(0.0, 20.0),
+           lines=st.sampled_from([None, 0, 1, 2, 7, 16, 64]), extra=st.integers(0, 10**4))
+    @example(state=state_on(25), t=0.7, lines=None, extra=0)  # odd n inside one tile
+    @example(state=state_on(301, 1.25, 0.75), t=2.0, lines=16, extra=0)  # ragged last tile
+    @example(state=state_on(1024), t=0.0, lines=None, extra=0)  # the default budget
+    @settings(max_examples=60, deadline=None)
+    def test_equal_whole_matrix_expressions_bit_for_bit(self, state, t, lines, extra):
+        spec, grid = state
+        n = grid.n_points
+        # lines per tile, or fewer than one line of values (0), or the shipped budget (None)
+        budget = states.TILE_VALUES if lines is None else max(1, lines * n + extra % n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "TILE_VALUES", budget)
+            dm = states._gaussian_density(spec, grid, t, spec.purity_product)
+            diag, d1, d2 = states._diagonals(dm)
+        rho = whole_matrix_density(spec, grid, t, spec.purity_product)
+        assert np.array_equal(bits(dm.values), bits(rho))
+        assert np.array_equal(bits(diag), bits(np.diagonal(rho).real))
+        for got, want in zip((d1, d2), whole_matrix_derivative_diagonals(rho, grid)):
+            assert np.array_equal(bits(got), bits(want))
+
+    def test_a_row_holds_one_matrix_and_a_few_tiles(self):
+        spec, grid = state_on(1024, 1.25, 0.75)
+        tracemalloc.start()
+        try:
+            sx.moments(sx.eval_pure_density(spec, grid, 0.7), OSC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix is 16 MiB; whole-matrix temporaries took the peak to 56 MiB
+        assert peak <= 24 * 2**20
 
 
 # ---------------------------------------------------------------------------

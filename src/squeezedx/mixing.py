@@ -46,7 +46,8 @@ __all__ = [
 CONVERGENCE_TOL = 1e-8
 # Fewest Gauss-Hermite nodes per axis an ensemble average may use.
 MIN_ENSEMBLE_NODES = 16
-# Most complex values (8 MiB) in one block of ensemble member columns.
+# Most member values (points x members) in one block: 8 MiB of complex plane waves
+# and 8 MiB of real [C | S] columns.
 BLOCK_VALUES = 2**19
 # Monte Carlo seed when none is given.
 DEFAULT_SEED = 12345
@@ -99,18 +100,33 @@ def eval_mixed_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Den
     return _gaussian_density(spec, grid, t, spec.purity_product)
 
 
-def _member_matrix(spec: MixedGaussianSpec, grid: GridSpec, t: float,
-                   dx0: np.ndarray, dp0: np.ndarray) -> np.ndarray:
-    """Wavefunction columns for ensemble members with initial center offsets.
+def _row_factor(spec: MixedGaussianSpec, grid: GridSpec, t: float) -> np.ndarray:
+    """R(x) = (2 pi sigma_gr^2 A)^(-1/4) exp(-iBx^2/w), the factor every member shares."""
+    osc = spec.base.osc
+    A, B = quadrature_shape(spec.base.squeeze, osc.angular_frequency, t)
+    x = grid.points()
+    return ((2.0 * np.pi * osc.ground_variance * A) ** -0.25
+            * np.exp(-1j * B * x * x / (4.0 * osc.ground_variance * A)))
 
-    Each offset rotates classically to time t.  With w = 4 sigma_gr^2 A, a
-    member's exponent -(x-x_c)^2 (1+iB)/w + i p_c x/hbar splits into a real
-    Gaussian exp(-(x-x_c)^2/w), a row factor exp(-iBx^2/w), a plane wave
-    exp(ikx) with k = 2B x_c/w + p_c/hbar, and a constant exp(-iB x_c^2/w).
-    The constant is dropped: like the global phase, it cancels because
-    members enter as |psi><psi|.  With L = ceil(sqrt(N)), the plane wave at
-    x_0 + (aL + b)h is a coarse table entry (a) times a fine one (b), so a
-    member costs about 2 sqrt(N) complex exponentials, not N.
+
+def _member_block(spec: MixedGaussianSpec, grid: GridSpec, t: float, dx0: np.ndarray,
+                  dp0: np.ndarray, half_log_w: np.ndarray, plane: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Write ensemble members, less their shared row factor, into ``out`` = [C | S].
+
+    Each initial center offset rotates classically to time t.  With
+    w = 4 sigma_gr^2 A, a member's exponent -(x-x_c)^2 (1+iB)/w + i p_c x/hbar
+    splits into a real Gaussian exp(-(x-x_c)^2/w), the row factor
+    exp(-iBx^2/w) of ``_row_factor``, a plane wave exp(ikx) with
+    k = 2B x_c/w + p_c/hbar, and a constant exp(-iB x_c^2/w).  The constant is
+    dropped: like the global phase, it cancels because members enter as
+    |psi><psi|.  Member m's column a_m = sqrt(w_m) exp(-(x-x_c)^2/w) exp(ikx)
+    carries its weight in the Gaussian's exponent (``half_log_w`` = log(w_m)/2);
+    its real part goes to column m of ``out`` and its imaginary part to
+    column M + m, for M members.  ``plane`` is an (N, M) complex buffer for
+    the plane waves.  With L = ceil(sqrt(N)), the plane wave at x_0 + (aL + b)h
+    is a coarse table entry (a) times a fine one (b), so a member costs about
+    2 sqrt(N) complex exponentials, not N.
     """
     base = spec.base
     osc = base.osc
@@ -123,47 +139,71 @@ def _member_matrix(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     w = 4.0 * osc.ground_variance * A
     k = 2.0 * B * xc / w + pc / osc.hbar
 
-    n, h = grid.n_points, grid.spacing
+    n, h, m = grid.n_points, grid.spacing, k.size
     L = math.isqrt(n - 1) + 1
     rows = n // L  # full coarse rows; the last one may be ragged
     coarse = np.exp(1j * (grid.x_min + np.arange(-(-n // L)) * L * h)[:, None] * k)
     fine = np.exp(1j * (np.arange(L) * h)[:, None] * k)
-    psi = np.empty((n, k.size), dtype=complex)
-    np.multiply(coarse[:rows, None], fine, out=psi[:rows * L].reshape(rows, L, k.size))
-    np.multiply(coarse[rows:], fine[:n - rows * L], out=psi[rows * L:])
+    np.multiply(coarse[:rows, None], fine, out=plane[:rows * L].reshape(rows, L, m))
+    np.multiply(coarse[rows:], fine[:n - rows * L], out=plane[rows * L:])
 
-    x = grid.points()
-    psi *= ((2.0 * np.pi * osc.ground_variance * A) ** -0.25
-            * np.exp(-1j * B * x * x / w))[:, None]
-    amp = np.subtract.outer(x, xc)
-    np.square(amp, out=amp)
-    amp *= -1.0 / w
-    psi *= np.exp(amp, out=amp)
-    return psi
+    gauss = out[:, m:]  # the Gaussian, then S in place
+    r = 1.0 / math.sqrt(w)
+    np.subtract.outer(grid.points() * r, xc * r, out=gauss)
+    np.square(gauss, out=gauss)
+    np.subtract(half_log_w, gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    np.multiply(gauss, plane.real, out=out[:, :m])
+    gauss *= plane.imag
 
 
 def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
-                  dx0: np.ndarray, dp0: np.ndarray, weights: np.ndarray | float) -> np.ndarray:
-    """sum_m weights_m |psi_m><psi_m|, built BLOCK_VALUES member values at a time."""
-    weights = np.broadcast_to(weights, dx0.shape)
-    step = max(1, BLOCK_VALUES // grid.n_points)
-    rho = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+                  dx0: np.ndarray, dp0: np.ndarray, log_w: np.ndarray | float) -> np.ndarray:
+    """sum_m w_m |psi_m><psi_m| for log weights ``log_w``, BLOCK_VALUES member values at a time.
+
+    Every psi_m is R a_m, with R the shared row factor and a_m = C_m + i S_m
+    a column of ``_member_block``, so the sum is R R^H times
+    sum_m a_m a_m^H = X X^T + i(S C^T - (S C^T)^T) for each block X = [C | S].
+    X X^T is a real symmetric rank-k update (BLAS syrk); R R^H is applied once,
+    at the end.  The block buffers and the two real N x N sums are allocated
+    once per call, and the result is exactly Hermitian.
+    """
+    n = grid.n_points
+    step = min(max(1, BLOCK_VALUES // n), dx0.size)
+    half_log_w = np.broadcast_to(0.5 * log_w, dx0.shape)
+    plane = np.empty(n * step, dtype=complex)
+    blocks = np.empty(2 * n * step)
+    re = np.zeros((n, n))
+    im = np.zeros((n, n))
     for i in range(0, dx0.size, step):
-        psi = _member_matrix(spec, grid, t, dx0[i:i + step], dp0[i:i + step])
-        scaled = psi * weights[i:i + step]
-        rho += scaled @ np.conjugate(psi, out=psi).T
+        m = min(step, dx0.size - i)
+        X = blocks[:2 * n * m].reshape(n, 2 * m)
+        _member_block(spec, grid, t, dx0[i:i + m], dp0[i:i + m], half_log_w[i:i + m],
+                      plane[:n * m].reshape(n, m), X)
+        re += X @ X.T
+        im += X[:, m:] @ X[:, :m].T
+    # R R^H and the member sum in real arithmetic, each part exactly (anti)symmetric
+    im -= im.T
+    R = _row_factor(spec, grid, t)
+    rr = np.outer(R.real, R.real) + np.outer(R.imag, R.imag)
+    ri = np.outer(R.imag, R.real)
+    ri -= ri.T
+    rho = np.empty((n, n), dtype=complex)
+    rho.real = rr * re - ri * im
+    rho.imag = rr * im + ri * re
     return rho
 
 
 def _gauss_hermite_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                            n_nodes: int) -> np.ndarray:
     xi, w = np.polynomial.hermite.hermgauss(n_nodes)
-    wt = w / np.sqrt(np.pi)
+    log_wt = np.log(w / np.sqrt(np.pi))  # summed per pair: w_i w_j underflows at 256 nodes
     m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
     scale_x = np.sqrt(2.0) * spec.sigma_a
     scale_p = np.sqrt(2.0) * m_om * spec.sigma_a
     dx0, dp0 = np.meshgrid(scale_x * xi, scale_p * xi, indexing="ij")
-    return _ensemble_sum(spec, grid, t, dx0.ravel(), dp0.ravel(), np.outer(wt, wt).ravel())
+    return _ensemble_sum(spec, grid, t, dx0.ravel(), dp0.ravel(),
+                         np.add.outer(log_wt, log_wt).ravel())
 
 
 def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -172,7 +212,7 @@ def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
     dx0 = rng.normal(0.0, spec.sigma_a, n_samples)
     dp0 = rng.normal(0.0, m_om * spec.sigma_a, n_samples)
-    return _ensemble_sum(spec, grid, t, dx0, dp0, 1.0 / n_samples)
+    return _ensemble_sum(spec, grid, t, dx0, dp0, -math.log(n_samples))
 
 
 def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -183,9 +223,11 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
 
     Gauss-Hermite tensor quadrature (n_nodes per axis, >= MIN_ENSEMBLE_NODES)
     by default; ``method="monte-carlo"`` draws ``n_samples`` centers with a
-    fixed seed instead.  With ``check_convergence`` the Gauss-Hermite result
-    is compared against a node-doubled rule and a ConvergenceError is raised
-    if they disagree beyond CONVERGENCE_TOL relative to the matrix peak.
+    fixed seed instead.  Either way the members are summed in blocks as a
+    real symmetric rank-k update (see ``_ensemble_sum``).  With
+    ``check_convergence`` the Gauss-Hermite result is compared against a
+    node-doubled rule and a ConvergenceError is raised if they disagree beyond
+    CONVERGENCE_TOL relative to the matrix peak.
     """
     target = reparameterize(spec)
     grid.require_coverage(target)

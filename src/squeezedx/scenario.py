@@ -339,11 +339,12 @@ def density_at(sc: Scenario, t: float) -> DensityMatrixSample:
     return eval_pure_density(sc.spec, sc.grid, t)
 
 
-def emit_timeseries(sc: Scenario, path: Path) -> None:
+def emit_timeseries(sc: Scenario, path: Path) -> DensityMatrixSample:
     """Write the per-sample-time table; see TIMESERIES_COLUMNS for the layout.
 
     phi and fidelity_numeric are blank for mixed states (a mixed density
-    matrix carries no global phase and is not propagated here).
+    matrix carries no global phase and is not propagated here).  Returns the
+    last row's density matrix, which a density dump at that time can reuse.
     """
     spec = sc.spec
     omega = sc.osc.angular_frequency
@@ -362,6 +363,7 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return dm
 
 
 def write_wavefunction_dump(sc: Scenario, t: float, path: Path) -> None:
@@ -544,24 +546,29 @@ def _prepare_out_dir(scenarios, out_dir: Path) -> None:
 
 
 def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> ScenarioResult:
-    """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
+    """Make the products ``sc.outputs`` names; dumps are taken at the last sample time.
+
+    A density dump reuses the timeseries' last matrix unless the checks ran in between.
+    """
     _prepare_out_dir([sc], out_dir)
     paths = _product_paths(sc, out_dir)
     files: list = []
     lines: list = []
     t = sc.sample_times[-1]
+    last = None  # the density at t from the timeseries
     for product in sc.outputs:
         if product == "verify":
+            last = None  # no N x N matrix is held while the checks build theirs
             lines.extend(verify_scenario(sc, seed=seed)[1])
             continue
         path = paths[product]
         try:
             if product == "timeseries":
-                emit_timeseries(sc, path)
+                last = emit_timeseries(sc, path)
             elif product == "wavefunction":
                 write_wavefunction_dump(sc, t, path)
             else:
-                write_density_dump(density_at(sc, t), path)
+                write_density_dump(density_at(sc, t) if last is None else last, path)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
         files.append(path)

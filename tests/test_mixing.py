@@ -1,10 +1,11 @@
 """Ensemble-mixer tests: closed forms vs brute-force averaging and quadrature."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import squeezedx as sx
@@ -26,6 +27,60 @@ def mixed(A0=1.0, phi_sq=0.0, X_amp=0.0, phi_c=0.0, sigma_a=0.0):
         pure_squeeze(A0, phi_sq) if A0 > 1 else sx.SqueezeDynamics(1.0, 0.0, phi_sq),
         sx.CenterTrajectory(X_amp, phi_c))
     return sx.MixedGaussianSpec(base, sigma_a=sigma_a)
+
+
+def complex_gemm_members(spec, grid, t, dx0, dp0):
+    """The ensemble members as whole complex columns, row factor included: the
+    member builder before the real rank-k sum."""
+    osc = spec.base.osc
+    m_om = osc.mass * osc.angular_frequency
+    A, B = sx.quadrature_shape(spec.base.squeeze, osc.angular_frequency, t)
+    xbar, pbar = sx.center_state(spec.base.center, osc, t)
+    c, s = np.cos(osc.angular_frequency * t), np.sin(osc.angular_frequency * t)
+    xc = xbar + dx0 * c + dp0 * s / m_om
+    pc = pbar + dp0 * c - dx0 * m_om * s
+    w = 4.0 * osc.ground_variance * A
+    k = 2.0 * B * xc / w + pc / osc.hbar
+    n, h = grid.n_points, grid.spacing
+    L = math.isqrt(n - 1) + 1
+    rows = n // L
+    coarse = np.exp(1j * (grid.x_min + np.arange(-(-n // L)) * L * h)[:, None] * k)
+    fine = np.exp(1j * (np.arange(L) * h)[:, None] * k)
+    psi = np.empty((n, k.size), dtype=complex)
+    np.multiply(coarse[:rows, None], fine, out=psi[:rows * L].reshape(rows, L, k.size))
+    np.multiply(coarse[rows:], fine[:n - rows * L], out=psi[rows * L:])
+    x = grid.points()
+    psi *= ((2.0 * np.pi * osc.ground_variance * A) ** -0.25
+            * np.exp(-1j * B * x * x / w))[:, None]
+    amp = np.subtract.outer(x, xc)
+    np.square(amp, out=amp)
+    amp *= -1.0 / w
+    psi *= np.exp(amp, out=amp)
+    return psi
+
+
+def complex_gemm_sum(spec, grid, t, dx0, dp0, weights):
+    """sum_m weights_m |psi_m><psi_m| as one complex GEMM per block: the reference
+    for mixing._ensemble_sum."""
+    weights = np.broadcast_to(weights, dx0.shape)
+    step = max(1, mixing.BLOCK_VALUES // grid.n_points)
+    rho = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    for i in range(0, dx0.size, step):
+        psi = complex_gemm_members(spec, grid, t, dx0[i:i + step], dp0[i:i + step])
+        scaled = psi * weights[i:i + step]
+        rho += scaled @ np.conjugate(psi, out=psi).T
+    return rho
+
+
+def member_columns(spec, grid, t, dx0, dp0, weights):
+    """The members psi_m from mixing._member_block: each column C_m + i S_m times the
+    shared row factor, divided by sqrt(w_m)."""
+    n, m = grid.n_points, dx0.size
+    out = np.empty((n, 2 * m))
+    mixing._member_block(spec, grid, t, dx0, dp0, 0.5 * np.log(weights),
+                         np.empty((n, m), dtype=complex), out)
+    a = (out[:, :m] + 1j * out[:, m:]) / np.sqrt(weights)
+    return mixing._row_factor(spec, grid, t)[:, None] * a
 
 
 class TestMixedGaussianSpec:
@@ -208,6 +263,15 @@ class TestEnsembleAverage:
             err = np.abs(ens.values - cf.values).max() / np.abs(cf.values).max()
             assert err <= 1e-8
 
+    def test_most_nodes_a_scenario_allows_sum_without_a_warning(self):
+        # the guard's 256-node rule has pair weights w_i w_j below the float range
+        ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, sigma_a=0.5 * SGR)
+        rp = sx.reparameterize(ms)
+        grid = sx.GridSpec.for_state(rp, n_points=64)
+        ens = sx.ensemble_average_density(ms, grid, 0.4, 128)
+        cf = sx.eval_mixed_density(rp, grid, 0.4)
+        assert np.abs(ens.values - cf.values).max() <= 1e-8 * np.abs(cf.values).max()
+
     def test_rejects_too_few_nodes(self):
         ms = mixed(sigma_a=SGR)
         grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=128)
@@ -253,13 +317,14 @@ class TestMemberColumns:
         rng = np.random.default_rng(41)
         dx0 = rng.normal(0.0, ms.sigma_a, 40)
         dp0 = rng.normal(0.0, m_om * ms.sigma_a, 40)
+        weights = rng.uniform(1e-3, 1.0, 40)
         x0, p0 = sx.center_state(ms.base.center, OSC, 0.0)
         members = [sx.GaussianStateSpec(OSC, ms.base.squeeze, sx.CenterTrajectory(
             float(np.hypot(x, p / m_om)), float(np.arctan2(-p / m_om, x))))
             for x, p in zip(x0 + dx0, p0 + dp0)]
         worst_projector = worst_value = 0.0
         for t in np.linspace(0.0, T, 9):
-            psi = mixing._member_matrix(ms, grid, t, dx0, dp0)
+            psi = member_columns(ms, grid, t, dx0, dp0, weights)
             ref = np.stack([sx.eval_pure_wavefunction(m, grid, t).values for m in members], 1)
             for col, want in zip(psi.T, ref.T):
                 expected = np.outer(want, want.conj())
@@ -289,13 +354,13 @@ class TestEnsembleBlocks:
         one = {name: run().values for name, run in runs.items()}
 
         widths = []
-        member_matrix = mixing._member_matrix
+        member_block = mixing._member_block
 
-        def counted(spec, grid, t, dx0, dp0):
+        def counted(spec, grid, t, dx0, *args):
             widths.append(dx0.size)
-            return member_matrix(spec, grid, t, dx0, dp0)
+            member_block(spec, grid, t, dx0, *args)
 
-        monkeypatch.setattr(mixing, "_member_matrix", counted)
+        monkeypatch.setattr(mixing, "_member_block", counted)
         monkeypatch.setattr(mixing, "BLOCK_VALUES", 300 * grid.n_points)
         for name, members in (("gh", 32 * 32), ("mc", 2000)):
             widths.clear()
@@ -303,6 +368,43 @@ class TestEnsembleBlocks:
             assert widths == [300] * (members // 300) + [members % 300]
             peak = np.abs(one[name]).max()
             assert np.abs(blocked - one[name]).max() <= 1e-14 * peak
+
+    @given(n=st.integers(16, 97), method=st.sampled_from(["gauss-hermite", "monte-carlo"]),
+           count=st.integers(1, 300), block_values=st.one_of(
+               st.just(mixing.BLOCK_VALUES), st.integers(1, 64 * 97)),
+           A0=st.floats(1.0, 3.0), phi_sq=st.floats(0.0, np.pi), X_ratio=st.floats(0.0, 3.0),
+           phi_c=st.floats(0.0, 2 * np.pi), s_ratio=st.floats(0.1, 1.5), t=st.floats(0.0, T))
+    @example(n=64, method="gauss-hermite", count=17, block_values=100 * 64, A0=1.5, phi_sq=0.4,
+             X_ratio=1.0, phi_c=1.0, s_ratio=1.0, t=1.3)  # GH, even n, ragged last block
+    @example(n=63, method="monte-carlo", count=250, block_values=31, A0=1.25, phi_sq=2.0,
+             X_ratio=2.0, phi_c=0.3, s_ratio=0.6, t=4.0)  # MC, odd n, BLOCK_VALUES below n
+    @example(n=37, method="monte-carlo", count=1, block_values=mixing.BLOCK_VALUES, A0=2.0,
+             phi_sq=0.0, X_ratio=0.5, phi_c=0.0, s_ratio=0.8, t=0.7)  # one member
+    @settings(max_examples=40, deadline=None)
+    def test_real_rank_k_sum_equals_the_complex_gemm_sum(self, n, method, count, block_values,
+                                                          A0, phi_sq, X_ratio, phi_c, s_ratio, t):
+        ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, phi_c=phi_c, sigma_a=s_ratio * SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=n)
+        m_om = OSC.mass * OSC.angular_frequency
+        if method == "gauss-hermite":
+            xi, w = np.polynomial.hermite.hermgauss(count)
+            wt = w / np.sqrt(np.pi)
+            dx0, dp0 = np.meshgrid(np.sqrt(2.0) * ms.sigma_a * xi,
+                                   np.sqrt(2.0) * m_om * ms.sigma_a * xi, indexing="ij")
+            dx0, dp0, weights = dx0.ravel(), dp0.ravel(), np.outer(wt, wt).ravel()
+            log_w = np.add.outer(np.log(wt), np.log(wt)).ravel()
+        else:
+            rng = np.random.default_rng(count)
+            dx0 = rng.normal(0.0, ms.sigma_a, count)
+            dp0 = rng.normal(0.0, m_om * ms.sigma_a, count)
+            weights = 1.0 / count
+            log_w = -math.log(count)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixing, "BLOCK_VALUES", block_values)
+            rho = mixing._ensemble_sum(ms, grid, t, dx0, dp0, log_w)
+            ref = complex_gemm_sum(ms, grid, t, dx0, dp0, weights)
+        assert np.abs(rho - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(rho, rho.conj().T)
 
     def test_monte_carlo_memory_is_bounded_by_the_block(self):
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
@@ -315,6 +417,9 @@ class TestEnsembleBlocks:
             tracemalloc.stop()
         # one member block is 8 MiB; building it all at once would take 78 MiB
         assert peak <= 48 * 2**20
+        # the plane-wave and [C | S] buffers are 8 MiB each, allocated once; the complex
+        # GEMM sum, with its per-block copies, peaked at 31.2 MiB
+        assert peak <= 24 * 2**20
 
 
 class TestGaussianIdentities:

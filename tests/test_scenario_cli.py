@@ -1,6 +1,7 @@
 """Scenario parsing, product files, verification report, CLI exit codes."""
 
 import copy
+import gc
 import hashlib
 import importlib
 import inspect
@@ -100,7 +101,7 @@ VERIFY_LINES = {
     "mixed_p4": [
         "[mixed_p4] trace: PASS (max |trace-1| = 0.000e+00, tol 1e-08, margin 1.000e-08)",
         "[mixed_p4] purity-law: PASS (max |purity - P^-1/2| = 1.832e-15, tol 1e-05, margin 1.000e-05)",
-        "[mixed_p4] ensemble-agreement: PASS (max peak-relative error at 32 nodes = 1.393e-15, tol 1e-08, "
+        "[mixed_p4] ensemble-agreement: PASS (max peak-relative error at 32 nodes = 2.647e-15, tol 1e-08, "
         "margin 1.000e-08)",
     ],
 }
@@ -406,6 +407,30 @@ class TestTimeseries:
         assert run_scenario(sc, tmp_path).verified
         assert sum(steps) == round(sc.sample_times[-1] / sc.dt)
 
+    @pytest.mark.parametrize("outputs, extra_builds", [
+        (["timeseries", "density", "verify"], 0), (["timeseries", "verify", "density"], 1)])
+    def test_density_dump_reuses_the_last_row_but_holds_no_matrix_through_verify(
+            self, tmp_path, monkeypatch, outputs, extra_builds):
+        sc = parse_one(dict(FAST_MIXED, outputs=outputs))
+        built = []
+        real_density_at = scenario.density_at
+        real_verify = scenario.verify_scenario
+
+        def counting_density_at(sc, t):
+            built.append(t)
+            return real_density_at(sc, t)
+
+        def verify_with_no_matrix_alive(sc, seed):
+            gc.collect()
+            assert not [o for o in gc.get_objects()
+                        if isinstance(o, sx.DensityMatrixSample) and o.grid is sc.grid]
+            return real_verify(sc, seed=seed)
+
+        monkeypatch.setattr(scenario, "density_at", counting_density_at)
+        monkeypatch.setattr(scenario, "verify_scenario", verify_with_no_matrix_alive)
+        assert run_scenario(sc, tmp_path).verified
+        assert built == list(sc.sample_times) + [sc.sample_times[-1]] * extra_builds
+
     def test_seventeen_digit_cells_round_trip_exactly(self, tmp_path):
         # %.17g guarantees a double survives text round-trip bit for bit
         sc = parse_one(FAST_MIXED)
@@ -614,8 +639,9 @@ class TestCLI:
         assert dump.exists()
         assert abs(read_density_dump(dump).trace() - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("config", [FAST_MIXED, dict(FAST_PURE, outputs=["density"])],
-                             ids=["mixed", "pure"])
+    @pytest.mark.parametrize("config", [FAST_MIXED, dict(FAST_PURE, outputs=["density"]),
+                                        dict(FAST_PURE, outputs=["timeseries", "density"])],
+                             ids=["mixed", "pure", "pure-after-timeseries"])
     def test_dump_density_writes_the_run_density_product(self, tmp_path, config):
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps(config))

@@ -29,6 +29,7 @@ from .states import (
     SqueezeDynamics,
     _gaussian_density,
     _require_pure,
+    _tiles,
     center_state,
     quadrature_shape,
 )
@@ -169,16 +170,16 @@ def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     once per call, and the result is exactly Hermitian.
     """
     n = grid.n_points
-    step = min(max(1, BLOCK_VALUES // n), dx0.size)
+    members = _tiles(dx0.size, n, BLOCK_VALUES)
     half_log_w = np.broadcast_to(0.5 * log_w, dx0.shape)
-    plane = np.empty(n * step, dtype=complex)
-    blocks = np.empty(2 * n * step)
+    plane = np.empty(n * members[0].stop, dtype=complex)
+    blocks = np.empty(2 * n * members[0].stop)
     re = np.zeros((n, n))
     im = np.zeros((n, n))
-    for i in range(0, dx0.size, step):
-        m = min(step, dx0.size - i)
+    for block in members:
+        m = block.stop - block.start
         X = blocks[:2 * n * m].reshape(n, 2 * m)
-        _member_block(spec, grid, t, dx0[i:i + m], dp0[i:i + m], half_log_w[i:i + m],
+        _member_block(spec, grid, t, dx0[block], dp0[block], half_log_w[block],
                       plane[:n * m].reshape(n, m), X)
         re += X @ X.T
         im += X[:, m:] @ X[:, :m].T

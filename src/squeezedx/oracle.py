@@ -188,6 +188,8 @@ def energy_expectation(wf: WavefunctionSample, osc: OscillatorConfig,
     ``kinetic="spectral"`` is <p^2>/2m + m omega^2 <x^2>/2 from ``moments`` (the
     split-step scheme's Hamiltonian); ``kinetic="fd3"`` uses the three-point
     Laplacian quadratic form that the implicit-unitary scheme conserves exactly.
+    No CLI path calls it; it is public as the reference that the tests hold
+    both propagators against, each by the Hamiltonian it conserves.
     """
     if kinetic == "spectral":
         m = moments(wf, osc)

@@ -161,14 +161,19 @@ class Scenario:
         bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
         if bad:
             raise InvariantError(f"scenario {self.name!r}: phase {bad[0]} is not finite")
-        # a grid coarser than the narrowest x standard deviation cannot sample the state
+        # the grid's Nyquist momentum pi hbar/h must cover the momentum support m omega R, the
+        # dual of the x coverage radius R; this also keeps h below the narrowest x std.  Python
+        # floats overflow to inf without a warning, so a huge need is still reported
         g = self.grid
-        narrowest = math.sqrt(osc.ground_variance * (sq.A0 - sq.dA))
-        if not g.spacing <= narrowest:
+        nyquist = math.pi * osc.hbar / g.spacing
+        support = osc.mass * omega * float(self.spec.support_radius())
+        if not nyquist >= support:
+            need = 1.0 + (g.x_max - g.x_min) * support / (math.pi * osc.hbar)
             raise InvariantError(
-                f"scenario {self.name!r}: grid x_min={g.x_min!r}, x_max={g.x_max!r}, "
-                f"n_points={g.n_points} has spacing {g.spacing:.6g}, wider than the narrowest "
-                f"x standard deviation {narrowest:.6g}; add points or narrow the grid")
+                f"scenario {self.name!r}: grid x_min={g.x_min:.6g}, x_max={g.x_max:.6g}, "
+                f"n_points={g.n_points} resolves momenta up to pi hbar/h = {nyquist:.6g}, "
+                f"below the state's momentum support m omega (X_amp + 8 max std) = "
+                f"{support:.6g}; it needs n_points >= {need:.6g}")
 
     @property
     def osc(self) -> OscillatorConfig:
@@ -389,7 +394,11 @@ def write_density_dump(dm: DensityMatrixSample, path: Path) -> None:
 
 
 def read_density_dump(path: Path) -> DensityMatrixSample:
-    """Inverse of write_density_dump."""
+    """Inverse of write_density_dump.
+
+    No CLI path calls it; it is public as the reference that the tests read the
+    dump writer's files back through and compare with the matrix written.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if len(header) != 4:

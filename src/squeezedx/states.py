@@ -22,7 +22,6 @@ types; nothing mutates shared state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,35 +249,32 @@ class WavefunctionSample:
 
 
 # Most complex values (256 KiB) in one tile of an N x N walk.  Building, differentiating
-# and checking a density go through it in tiles of this size; each element's arithmetic
-# is that of a whole-matrix expression, so the tiling moves no bit.
+# and checking a density go through it one tile of consecutive rows or columns at a time;
+# each element's arithmetic is that of a whole-matrix expression, so the tiling moves no bit.
 TILE_VALUES = 2**14
 
 
-def _tile_lines(n: int) -> int:
-    """Rows (or columns) of an n x n matrix in one tile: at least one, at most n."""
-    return min(n, max(1, TILE_VALUES // n))
+def _tiles(count: int, size: int, budget: int) -> list:
+    """Slices of ``count`` items of ``size`` values each, at most ``budget`` values (but at
+    least one item) per slice; the last slice may be shorter."""
+    step = max(1, budget // size)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _peak_and_hermiticity_defect(values: np.ndarray) -> tuple:
-    """max |rho| and max |rho - rho^H|, one square tile pair at a time.
+    """max |rho| and max |rho - rho^H|, one tile of rows at a time.
 
-    |rho_ij - conj(rho_ji)| = |rho_ji - conj(rho_ij)| holds bitwise, so each
-    upper tile against its mirrored lower tile gives exactly the
+    |rho_ij - conj(rho_ji)| = |rho_ji - conj(rho_ij)| holds bitwise, and every
+    pair j >= i lies in row i's tile, so the tiles give exactly the
     full-matrix values.  The tile maxima are reduced by numpy, so a NaN
     anywhere propagates to the result.
     """
     n = values.shape[0]
-    edge = math.isqrt(TILE_VALUES)
     peaks, defects = [], []
-    for i in range(0, n, edge):
-        for j in range(i, n, edge):
-            upper = values[i:i + edge, j:j + edge]
-            lower = values[j:j + edge, i:i + edge]
-            defects.append(np.abs(upper - lower.conj().T).max())
-            peaks.append(np.abs(upper).max())
-            if j > i:
-                peaks.append(np.abs(lower).max())
+    for rows in _tiles(n, n, TILE_VALUES):
+        tile, a = values[rows], rows.start
+        peaks.append(np.abs(tile).max())
+        defects.append(np.abs(tile[:, a:] - values[a:, rows].conj().T).max())
     return float(np.max(peaks)), float(np.max(defects))
 
 
@@ -468,12 +464,11 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
     x_c, p_c = center_state(spec.center, osc, t)
     x = grid.points()
     rho = np.empty((x.size, x.size), dtype=complex)
-    rows = _tile_lines(x.size)
-    for i in range(0, x.size, rows):
-        xi = x[i:i + rows, None]
+    for rows in _tiles(x.size, x.size, TILE_VALUES):
+        xi = x[rows, None]
         s = 0.5 * (xi + x) - x_c
         d = xi - x
-        tile = rho[i:i + rows]
+        tile = rho[rows]
         np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
                - 1j * B * s * d / (2.0 * s2 * A)
                + 1j * p_c * d / osc.hbar, out=tile)
@@ -510,16 +505,16 @@ def _diagonals(sample) -> tuple:
         ik = 1j * sample.grid.wavenumbers()[:, None]
         factors = [ik ** order for order in (1, 2)]
         d1_diag, d2_diag = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        cols = _tile_lines(n)
-        # one scratch buffer takes both derivatives of each tile of columns in turn; only the
-        # tile's diagonal entries (j + c, c) are kept, and the caller's rho is never written
-        buf = np.empty((n, cols), dtype=complex)
-        for j in range(0, n, cols):
-            rho_k = np.fft.fft(rho[:, j:j + cols], axis=0)
+        tiles = _tiles(n, n, TILE_VALUES)
+        # one buffer as wide as the first tile takes both derivatives of each column tile in
+        # turn; only its diagonal entries (j + c, c) are kept, and rho is never written
+        buf = np.empty((n, tiles[0].stop), dtype=complex)
+        for cols in tiles:
+            rho_k = np.fft.fft(rho[:, cols], axis=0)
             tile = buf[:, :rho_k.shape[1]]
             for factor, diag in zip(factors, (d1_diag, d2_diag)):
                 np.fft.ifft(np.multiply(factor, rho_k, out=tile), axis=0, out=tile)
-                diag[j:j + cols] = np.diagonal(tile[j:])
+                diag[cols] = np.diagonal(tile[cols.start:])
         return np.diagonal(rho).real, d1_diag, d2_diag
     raise TypeError(
         f"moments expects a WavefunctionSample or DensityMatrixSample, got {type(sample)!r}")

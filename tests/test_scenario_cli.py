@@ -4,8 +4,10 @@ import copy
 import gc
 import hashlib
 import importlib
+import importlib.util
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 import squeezedx as sx
 from squeezedx import cli, scenario
@@ -219,6 +221,47 @@ class TestParsing:
         bad = dict(FAST_PURE, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 64})
         with pytest.raises(sx.CoverageError):
             parse_one(bad)
+
+
+def old_spacing_ratio(sc):
+    """h over the narrowest x std: the x-spacing rule that momentum coverage replaced
+    required at most 1."""
+    sq = sc.spec.squeeze
+    return sc.grid.spacing / math.sqrt(sc.osc.ground_variance * (sq.A0 - sq.dA))
+
+
+LOG_CONSTANT = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+class TestMomentumCoverage:
+    @given(mass=LOG_CONSTANT, omega=LOG_CONSTANT, hbar=LOG_CONSTANT, r=st.floats(1.0, 5.0),
+           phi_sq=st.floats(0.0, 2 * np.pi), X=st.floats(0.0, 10.0),
+           phi_c=st.floats(0.0, 2 * np.pi), s=st.one_of(st.just(0.0), st.floats(0.05, 3.0)),
+           left=st.floats(1.001, 3.0), right=st.floats(1.001, 3.0), k=st.floats(0.5, 3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_a_grid_that_passes_also_passes_the_old_spacing_rule(
+            self, mass, omega, hbar, r, phi_sq, X, phi_c, s, left, right, k):
+        # a pure base of width ratio r, its center and spread in units of sigma_gr, and a
+        # grid around the support radius R with k times the points the momentum rule needs
+        sgr = math.sqrt(hbar / (2.0 * mass * omega))
+        A0, dA = 0.5 * (r + 1.0 / r), 0.5 * (r - 1.0 / r)
+        R = sgr * (X + 8.0 * math.sqrt(A0 + s * s + dA))
+        x_min, x_max = -left * R, right * R
+        need = 1.0 + (x_max - x_min) * mass * omega * R / (math.pi * hbar)
+        try:
+            sc = parse_one({
+                "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
+                "squeeze": {"A0": A0, "dA": dA, "phi_sq": phi_sq},
+                "center": {"X_amp": X * sgr, "phi_c": phi_c}, "sigma_a": s * sgr,
+                "grid": {"x_min": x_min, "x_max": x_max,
+                         "n_points": min(scenario.MAX_GRID_POINTS, max(16, math.ceil(k * need)))},
+                "sample_times": [0.0], "outputs": ["verify"]})
+        except sx.InvariantError as exc:
+            assert "resolves momenta" in str(exc)
+            return
+        ratio = old_spacing_ratio(sc)
+        target(ratio)
+        assert ratio <= 1.0
 
 
 def _leaf_paths(obj, prefix=()):
@@ -823,12 +866,12 @@ class TestCLI:
 
     def test_huge_energies_leave_the_schrodinger_residual_finite(self, tmp_path, capsys):
         # hbar = omega = 1e150 puts |H psi| near 1e300: its squared norm overflowed to a NaN
-        # residual.  64 points, not the 40 first seen, pass the grid-spacing rule.
+        # residual.  72 points, not the 40 first seen, pass the momentum-coverage rule.
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps({
             "name": "huge", "oscillator": {"mass": 1.0, "hbar": 1e150, "angular_frequency": 1e150},
             "squeeze": {"initial_variance_D": 1.3},
-            "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 64},
+            "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 72},
             "sample_times": [0.0], "outputs": ["verify"]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -851,9 +894,30 @@ class TestCLI:
             assert self.run_cli("run", cfg, "--out-dir", out) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
-        assert ("grid x_min=-1e+300, x_max=1e+300, n_points=73 has spacing 2.77778e+298, "
-                "wider than the narrowest x standard deviation 0.5") in err
+        assert ("grid x_min=-1e+300, x_max=1e+300, n_points=73 resolves momenta up to "
+                "pi hbar/h = 1.13097e-298, below the state's momentum support "
+                "m omega (X_amp + 8 max std) = 8; it needs n_points >= 5.09296e+300") in err
         assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("sigma_a, support, need", [(0.5, "36.9282", "1129.44"),
+                                                        (0.0, "35.6569", "1090.59")],
+                             ids=["mixed", "pure"])
+    def test_momentum_beyond_the_grid_exit_3(self, tmp_path, capsys, sigma_a, support, need):
+        # p_c = -8.87 at t = 0 sits on the Nyquist edge pi hbar/h = 8.34: the mixed
+        # scenario passed every check while its timeseries printed var_p = 47.84 (true
+        # value 0.75), and the pure one failed on the boundary guard after stepping
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "fast", "squeeze": {"A0": 1.0}, "center": {"X_amp": 30.0, "phi_c": 0.3},
+            "sigma_a": sigma_a, "grid": {"x_min": -48.0, "x_max": 48.0, "n_points": 256},
+            "sample_times": [0.0, 1.3, 4.4], "outputs": ["timeseries", "verify"]}))
+        out = tmp_path / "out"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: scenario 'fast': grid x_min=-48, x_max=48, n_points=256 "
+            "resolves momenta up to pi hbar/h = 8.34486, below the state's momentum support "
+            f"m omega (X_amp + 8 max std) = {support}; it needs n_points >= {need}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("out, cause", [
         ("F", "cannot create output directory {tmp}/F: File exists"),
@@ -956,6 +1020,19 @@ class TestBundledScenarios:
     def test_bundled_configs_parse(self, name):
         scs = parse_config((SCENARIOS / f"{name}.json").read_text())
         assert scs[0].name == name
+
+    @pytest.mark.parametrize("workload", ["pure_dynamics", "mixed_ensemble"])
+    def test_benchmark_configs_parse(self, workload):
+        # every 7th seed of 0-2999: a parse rule that rejected a generated config would
+        # turn the benchmark's correctness gate red
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      REPO / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in range(0, 3000, 7):
+            config = workloads.make_config(workload, seed, REPO)
+            scs = parse_config(json.dumps(config))
+            assert [sc.name for sc in scs] == workloads.scenario_names(config)
 
     @pytest.mark.parametrize("name", ["ground_state", "squeezed_vacuum", "mixed_p4"])
     def test_run_reproduces_recorded_digests(self, name, tmp_path):

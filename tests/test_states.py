@@ -1,6 +1,5 @@
 """Analytic-core tests: closed forms against independent oracles."""
 
-import math
 import re
 import tracemalloc
 
@@ -11,9 +10,6 @@ from scipy.integrate import quad
 
 import squeezedx as sx
 from squeezedx import states
-
-# Edge of the square tiles in which DensityMatrixSample checks Hermiticity.
-HERM_EDGE = math.isqrt(states.TILE_VALUES)
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -130,30 +126,28 @@ def hermiticity_defect_in_error(values):
     return float(re.search(r"= (\S+)$", str(info.value)).group(1))
 
 
-def tile_pair_plants(n, rng):
-    """One asymmetric position above and one below the diagonal for every block pair.
+def row_tile_plants(n, rng):
+    """One asymmetric position above and one below the diagonal in every row tile.
 
-    A diagonal block one point wide has no off-diagonal position, so its
-    plant sits on the diagonal itself (an imaginary diagonal is asymmetric).
-    No two plants share a position or sit at each other's mirror.
+    DensityMatrixSample checks Hermiticity TILE_VALUES // n rows at a time (at
+    least one row).  No two plants share a position or sit at each other's mirror.
     """
-    starts = range(0, n, HERM_EDGE)
+    lines = max(1, states.TILE_VALUES // n)
     plants, taken = [], set()
-    for a in starts:
-        for b in (s for s in starts if s >= a):
-            rows = np.arange(a, min(a + HERM_EDGE, n))
-            cols = np.arange(b, min(b + HERM_EDGE, n))
-            if a == b and len(rows) == 1:
-                plants.append((a, a))
+    for a in range(0, n, lines):
+        rows = range(a, min(a + lines, n))
+        for above in (True, False):
+            # rows with a position on this side of the diagonal
+            side = [i for i in rows if (i < n - 1 if above else i > 0)]
+            if not side:
                 continue
-            for above in (True, False):
-                while True:
-                    i, j = int(rng.choice(rows)), int(rng.choice(cols))
-                    i, j = (min(i, j), max(i, j)) if above else (max(i, j), min(i, j))
-                    if i != j and (i, j) not in taken and (j, i) not in taken:
-                        break
-                plants.append((i, j))
-                taken.add((i, j))
+            while True:
+                i = int(rng.choice(side))
+                j = int(rng.integers(i + 1, n) if above else rng.integers(0, i))
+                if (i, j) not in taken and (j, i) not in taken:
+                    break
+            plants.append((i, j))
+            taken.add((i, j))
     return plants
 
 
@@ -228,16 +222,16 @@ class TestTypeInvariants:
             sx.DensityMatrixSample(grid=grid, values=np.full((16, 16), np.nan, complex), time=0.0)
 
     @pytest.mark.parametrize("n", [16, 129, 300])
-    def test_hermiticity_check_sees_every_block_pair(self, n):
-        # each plant in turn carries the largest defect, so a block pair the
-        # check skipped would report a smaller value than the full-matrix one
+    def test_hermiticity_check_sees_every_row_tile(self, n):
+        # each plant in turn carries the largest defect, so a tile, or a side of
+        # the diagonal, the check skipped would report a smaller value than the
+        # full-matrix one
         rng = np.random.default_rng(n)
         base = random_hermitian(n, rng)
-        plants = tile_pair_plants(n, rng)
+        plants = row_tile_plants(n, rng)
         for largest in plants:
             values = base.copy()
             for i, j in plants:
-                # imaginary, so that a plant on the diagonal is asymmetric too
                 values[i, j] += 1j * (1e-3 if (i, j) == largest else 1e-6 * (1.0 + rng.random()))
             herm = hermiticity_defect_in_error(values)
             assert herm == float(np.abs(values - values.conj().T).max())
@@ -532,7 +526,10 @@ class TestTiledKernels:
             mp.setattr(states, "TILE_VALUES", budget)
             dm = states._gaussian_density(spec, grid, t, spec.purity_product)
             diag, d1, d2 = states._diagonals(dm)
+            peak, herm = states._peak_and_hermiticity_defect(dm.values)
         rho = whole_matrix_density(spec, grid, t, spec.purity_product)
+        assert np.array_equal(bits(np.array([peak, herm])), bits(np.array(
+            [np.abs(rho).max(), np.abs(rho - rho.conj().T).max()])))
         assert np.array_equal(bits(dm.values), bits(rho))
         assert np.array_equal(bits(diag), bits(np.diagonal(rho).real))
         for got, want in zip((d1, d2), whole_matrix_derivative_diagonals(rho, grid)):

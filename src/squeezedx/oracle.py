@@ -87,11 +87,12 @@ class _Propagated(WavefunctionSample):
     """A state ``propagate`` returned: already held to the per-step edge guard."""
 
 
-def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "", step: int = 0) -> None:
-    """Raise BoundaryError unless |psi| <= threshold at both edges (NaN fails); step 0 is psi0."""
+def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "",
+                 step: float | None = None) -> None:
+    """Raise BoundaryError unless |psi| <= threshold at both edges (NaN fails); psi0 has no step."""
     lo, hi = abs(psi[0]), abs(psi[-1])
     if not (lo <= threshold and hi <= threshold):
-        where = f"at {scheme} step {step}" if step else "in the initial state"
+        where = "in the initial state" if step is None else f"at {scheme} step {step:.0f}"
         raise BoundaryError(
             f"boundary contamination {where}: edge amplitude {np.maximum(lo, hi):.3e} "
             f"exceeds {threshold:g}; enlarge the grid"
@@ -99,7 +100,7 @@ def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "", step: int 
 
 
 def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                          dt: float, n_steps: int) -> np.ndarray:
+                          dt: float, n_steps: int, start: float) -> np.ndarray:
     k = grid.wavenumbers()
     v = _potential(grid, osc)
     half_kick = np.exp(-0.5j * v * dt / osc.hbar)
@@ -109,14 +110,14 @@ def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig
     psi = half_kick * psi
     for step in range(n_steps):
         psi = np.fft.ifft(drift * np.fft.fft(psi))
-        _check_edges(psi, EDGE_GUARD, "split", step + 1)
+        _check_edges(psi, EDGE_GUARD, "split", start + step + 1)
         if step != n_steps - 1:
             psi = full_kick * psi
     return half_kick * psi
 
 
 def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                      dt: float, n_steps: int) -> np.ndarray:
+                      dt: float, n_steps: int, start: float) -> np.ndarray:
     # scipy.linalg costs ~0.35 s to import and only this scheme needs it
     from scipy.linalg import lapack
 
@@ -138,8 +139,8 @@ def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
         rhs[1:] -= lam_off * psi[:-1]
         psi, info = lapack.zgttrs(*lu, rhs, overwrite_b=1)
         if info:
-            raise InvariantError(f"implicit step {step + 1}: zgttrs info = {info}")
-        _check_edges(psi, EDGE_GUARD, "implicit", step + 1)
+            raise InvariantError(f"implicit step {start + step + 1:.0f}: zgttrs info = {info}")
+        _check_edges(psi, EDGE_GUARD, "implicit", start + step + 1)
     return psi
 
 
@@ -151,14 +152,17 @@ def propagate(psi0: WavefunctionSample, osc: OscillatorConfig,
     (|psi| < 1e-12); a BoundaryError is raised if any step pushes edge
     amplitude above 1e-8.  A state returned by ``propagate`` continues
     under the per-step guard alone, so a trajectory's verdict does not
-    depend on how many calls it is split into.
+    depend on how many calls it is split into.  Nor does an error message:
+    it counts steps on the trajectory's clock, the one ending at time t
+    being step t / dt, rounded.
     """
     if not isinstance(psi0, _Propagated):
         _check_edges(psi0.values, EDGE_START_TOL)
+    start = psi0.time / cfg.dt
     if cfg.scheme == "spectral-split-step":
-        values = _propagate_split_step(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps)
+        values = _propagate_split_step(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start)
     else:
-        values = _propagate_cayley(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps)
+        values = _propagate_cayley(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start)
     return _Propagated(grid=psi0.grid, values=values, time=psi0.time + cfg.n_steps * cfg.dt)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +150,6 @@ class Scenario:
     outputs: tuple
     ensemble_nodes: int
     mc_check: bool
-    _fidelities: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the phases the closed forms take; replace() re-checks them at new sample times
@@ -161,19 +162,6 @@ class Scenario:
         bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
         if bad:
             raise InvariantError(f"scenario {self.name!r}: phase {bad[0]} is not finite")
-        # the grid's Nyquist momentum pi hbar/h must cover the momentum support m omega R, the
-        # dual of the x coverage radius R; this also keeps h below the narrowest x std.  Python
-        # floats overflow to inf without a warning, so a huge need is still reported
-        g = self.grid
-        nyquist = math.pi * osc.hbar / g.spacing
-        support = osc.mass * omega * float(self.spec.support_radius())
-        if not nyquist >= support:
-            need = 1.0 + (g.x_max - g.x_min) * support / (math.pi * osc.hbar)
-            raise InvariantError(
-                f"scenario {self.name!r}: grid x_min={g.x_min:.6g}, x_max={g.x_max:.6g}, "
-                f"n_points={g.n_points} resolves momenta up to pi hbar/h = {nyquist:.6g}, "
-                f"below the state's momentum support m omega (X_amp + 8 max std) = "
-                f"{support:.6g}; it needs n_points >= {need:.6g}")
 
     @property
     def osc(self) -> OscillatorConfig:
@@ -183,27 +171,22 @@ class Scenario:
     def is_mixed(self) -> bool:
         return self.mixed is not None
 
+    @cached_property
     def fidelities(self) -> tuple:
         """Fidelity of the propagated state against the closed form at each sample time.
 
-        Pure states only.  Propagation advances by whole steps, so each
-        comparison happens at the nearest reachable step time; numeric and
-        analytic states are always evaluated at the same instant.  The
-        trajectory is propagated once per instance and kept for later calls.
+        Pure states only.  Propagation advances by whole steps, so each comparison happens
+        at the nearest reachable step time; numeric and analytic states are always evaluated
+        at the same instant.  The trajectory is stepped once per instance.
         """
-        if self._fidelities is None:
-            psi = eval_pure_wavefunction(self.spec, self.grid, 0.0)
-            done_steps = 0
-            fids = []
-            for t in self.sample_times:
-                target = _step(t, self.dt)
-                if target > done_steps:
-                    cfg = PropagatorConfig(scheme=self.scheme, dt=self.dt, n_steps=target - done_steps)
-                    psi = propagate(psi, self.osc, cfg)
-                    done_steps = target
-                fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
-            object.__setattr__(self, "_fidelities", tuple(fids))
-        return self._fidelities
+        psi = eval_pure_wavefunction(self.spec, self.grid, 0.0)
+        fids = []
+        for t in self.sample_times:
+            n_steps = _step(t, self.dt) - _step(psi.time, self.dt)
+            if n_steps > 0:
+                psi = propagate(psi, self.osc, PropagatorConfig(self.scheme, self.dt, n_steps))
+            fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
+        return tuple(fids)
 
 
 def _step(t: float, dt: float) -> int:
@@ -245,14 +228,22 @@ def _parse_scenario(obj: dict) -> Scenario:
     else:
         spec, mixed = mixed.base, None
 
-    g_obj = obj.get("grid")
-    if g_obj is None:
-        grid = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
+    # a grid's Nyquist momentum pi hbar/h must cover the momentum support m omega R, the dual of
+    # the x coverage radius R (which keeps h below the narrowest x std); an inf support fails it
+    def nyquist(g: GridSpec) -> float:
+        return math.pi * osc.hbar / g.spacing
+    support = osc.mass * osc.angular_frequency * float(spec.support_radius())
+
+    if obj.get("grid") is None:
+        # from 1024 (pure) or 256 (mixed) points up, the fewest that resolve the momenta
+        g = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
+        grid = replace(g, n_points=bisect_left(range(MAX_GRID_POINTS), support, lo=g.n_points,
+                                               key=lambda n: nyquist(replace(g, n_points=n))))
     else:
-        grid = _section(GridSpec, g_obj, f"{ctx}.grid")
-        if grid.n_points > MAX_GRID_POINTS:
-            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
-        grid.require_coverage(spec)
+        grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
+    if grid.n_points > MAX_GRID_POINTS:
+        raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
+    grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
@@ -292,6 +283,8 @@ def _parse_scenario(obj: dict) -> Scenario:
     for p in outputs_obj:
         if p not in PRODUCTS:
             raise ParseError(f"{ctx}.outputs contains unknown product {p!r}; expected {PRODUCTS}")
+        if outputs_obj.count(p) > 1:
+            raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
     if mixed and "wavefunction" in outputs_obj:
         raise InvariantError(
             f"{ctx}: wavefunction product requires a pure state (P = 1): P = {spec.purity_product!r}"
@@ -305,9 +298,17 @@ def _parse_scenario(obj: dict) -> Scenario:
     if not isinstance(mc_check, bool):
         raise ParseError(f"{ctx}.mc_check must be a boolean")
 
-    return Scenario(name=name, spec=spec, mixed=mixed, grid=grid, scheme=scheme, dt=dt,
-                    sample_times=times, outputs=tuple(outputs_obj),
-                    ensemble_nodes=ensemble_nodes, mc_check=mc_check)
+    sc = Scenario(name=name, spec=spec, mixed=mixed, grid=grid, scheme=scheme, dt=dt,
+                  sample_times=times, outputs=tuple(outputs_obj),
+                  ensemble_nodes=ensemble_nodes, mc_check=mc_check)
+    if not nyquist(grid) >= support:  # after the phase checks: a config failing both gets theirs
+        need = 1.0 + (grid.x_max - grid.x_min) * support / (math.pi * osc.hbar)
+        raise InvariantError(
+            f"{ctx}: grid x_min={grid.x_min:.6g}, x_max={grid.x_max:.6g}, "
+            f"n_points={grid.n_points} resolves momenta up to pi hbar/h = {nyquist(grid):.6g}, "
+            f"below the state's momentum support m omega (X_amp + 8 max std) = {support:.6g}; "
+            f"it needs n_points >= {need:.6g}")
+    return sc
 
 
 def parse_config(text: str) -> list:
@@ -354,7 +355,7 @@ def emit_timeseries(sc: Scenario, path: Path) -> DensityMatrixSample:
     spec = sc.spec
     omega = sc.osc.angular_frequency
     rows = []
-    fidelities = [None] * len(sc.sample_times) if sc.is_mixed else sc.fidelities()
+    fidelities = [None] * len(sc.sample_times) if sc.is_mixed else sc.fidelities
     for t, fid in zip(sc.sample_times, fidelities):
         A, B = quadrature_shape(spec.squeeze, omega, t)
         x_c, p_c = center_state(spec.center, sc.osc, t)
@@ -473,7 +474,7 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
             _check(lines, sc.name, "ground-phase", "max |phi - phi(0) - omega t / 2|", gerr, 1e-12)
 
     _check(lines, sc.name, "propagation-fidelity", "1 - min fidelity",
-           1.0 - min(sc.fidelities()), 1e-6)
+           1.0 - min(sc.fidelities), 1e-6)
 
 
 def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
@@ -532,8 +533,8 @@ class ScenarioResult:
 
 
 def _product_paths(sc: Scenario, out_dir: Path) -> dict:
-    """The file of each product in ``sc.outputs`` but verify."""
-    t = sc.sample_times[-1]
+    """The file of each product in ``sc.outputs`` but verify; no negative zero in a name."""
+    t = sc.sample_times[-1] + 0.0
     return {product: out_dir / (f"{sc.name}_timeseries.csv" if product == "timeseries"
                                 else f"{sc.name}_{product}_t{t:.6g}.csv")
             for product in sc.outputs if product != "verify"}
@@ -591,6 +592,6 @@ def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
     _prepare_out_dir(scenarios, out_dir)
     for sc in scenarios:
         if not sc.is_mixed and {"timeseries", "verify"} & set(sc.outputs):
-            sc.fidelities()
+            sc.fidelities  # fills the cache, so no worker steps
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
         return list(pool.map(lambda sc: run_scenario(sc, out_dir, seed), scenarios))

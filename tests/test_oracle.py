@@ -1,5 +1,7 @@
 """Numeric-oracle tests: propagators, fidelity, purity, energy."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack, solve_banded
@@ -38,6 +40,17 @@ def reference_cayley(psi, grid, osc, dt, n_steps):
         rhs[1:] -= lam * off * psi[:-1]
         psi = solve_banded((1, 1), ab, rhs)
     return psi
+
+
+def swinging_packet():
+    """A packet at -3 sigma_gr with only 5 sigma of headroom on the right: clean at t=0,
+    it must trip the edge guard as it swings over."""
+    x0 = -3.0 * SGR
+    grid = sx.GridSpec(x0 - 12.0 * SGR, -x0 + 5.0 * SGR, 768)
+    x = grid.points()
+    psi = np.exp(-(x - x0) ** 2 / (4 * SGR2)).astype(complex)
+    psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.spacing))
+    return sx.WavefunctionSample(grid=grid, values=psi, time=0.0)
 
 
 class TestPropagatorConfig:
@@ -106,17 +119,23 @@ class TestPropagate:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_detects_contamination_mid_run(self, scheme):
-        # a packet starting at -3 sigma_gr with only 5 sigma of headroom on
-        # the right is clean at t=0 but must trip the guard as it swings over
-        x0 = -3.0 * SGR
-        grid = sx.GridSpec(x0 - 12.0 * SGR, -x0 + 5.0 * SGR, 768)
-        x = grid.points()
-        psi = np.exp(-(x - x0) ** 2 / (4 * SGR2)).astype(complex)
-        psi /= np.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.spacing))
-        sample = sx.WavefunctionSample(grid=grid, values=psi, time=0.0)
         with pytest.raises(sx.BoundaryError, match="at .* step"):
-            sx.propagate(sample, OSC, sx.PropagatorConfig(
+            sx.propagate(swinging_packet(), OSC, sx.PropagatorConfig(
                 scheme=scheme, dt=T / 1024, n_steps=512))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_an_edge_error_names_the_same_step_however_the_trajectory_is_split(self, scheme):
+        # one call, then calls of 37 steps: each names the step on the trajectory's clock
+        sample = swinging_packet()
+        with pytest.raises(sx.BoundaryError) as whole:
+            sx.propagate(sample, OSC, sx.PropagatorConfig(scheme=scheme, dt=T / 1024, n_steps=512))
+        step = int(re.search(r"step (\d+):", str(whole.value)).group(1))
+        assert step > 37
+        with pytest.raises(sx.BoundaryError) as split:
+            for _ in range(512 // 37 + 1):
+                sample = sx.propagate(sample, OSC, sx.PropagatorConfig(
+                    scheme=scheme, dt=T / 1024, n_steps=37))
+        assert str(split.value) == str(whole.value)
 
     def test_implicit_scheme_conserves_norm_for_any_dt(self):
         spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25))

@@ -1,6 +1,7 @@
 """Scenario parsing, product files, verification report, CLI exit codes."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -263,6 +264,61 @@ class TestMomentumCoverage:
         target(ratio)
         assert ratio <= 1.0
 
+    @given(mass=LOG_CONSTANT, omega=LOG_CONSTANT, hbar=LOG_CONSTANT, r=st.floats(1.0, 5.0),
+           X=st.floats(0.0, 150.0), s=st.one_of(st.just(0.0), st.floats(0.05, 3.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_an_automatic_grid_has_the_fewest_points_that_resolve_the_momenta(
+            self, mass, omega, hbar, r, X, s):
+        # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256 and 4096
+        sgr = math.sqrt(hbar / (2.0 * mass * omega))
+        try:
+            sc = parse_one({
+                "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
+                "squeeze": {"A0": 0.5 * (r + 1.0 / r), "dA": 0.5 * (r - 1.0 / r)},
+                "center": {"X_amp": X * sgr}, "sigma_a": s * sgr,
+                "sample_times": [0.0], "outputs": ["verify"]})
+        except sx.InvariantError as exc:
+            assert f"n_points={scenario.MAX_GRID_POINTS} resolves momenta up to" in str(exc)
+            return
+        support = mass * omega * float(sc.spec.support_radius())
+
+        def nyquist(n_points):
+            return math.pi * hbar / dataclasses.replace(sc.grid, n_points=n_points).spacing
+
+        n, floor = sc.grid.n_points, 256 if s else 1024
+        assert floor <= n <= scenario.MAX_GRID_POINTS
+        assert nyquist(n) >= support
+        assert n == floor or nyquist(n - 1) < support
+
+    @pytest.mark.parametrize("config, n_points", [
+        ({"squeeze": {"A0": 1.0}, "center": {"X_amp": 40.0}}, 1411),
+        ({"squeeze": {"A0": 1.0}, "center": {"X_amp": 12.0}, "sigma_a": 0.5}, 271),
+    ], ids=["pure", "mixed"])
+    def test_an_automatic_grid_grows_past_its_floor_to_resolve_the_momenta(
+            self, tmp_path, config, n_points):
+        # at its floor of 1024 (pure) or 256 (mixed) points the grid would resolve momenta up to
+        # 33.14 or 17.89, below the supports 45.66 and 18.93
+        config = dict(config, name="far", outputs=["verify"])
+        assert parse_one(config).grid.n_points == n_points
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+
+    def test_an_automatic_grid_past_max_grid_points_exit_3_before_any_array(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+        for name in ("eval_pure_wavefunction", "eval_pure_density", "propagate"):
+            monkeypatch.setattr(scenario, name, lambda *args: built.append(args))
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({"name": "far", "squeeze": {"A0": 1.0},
+                                   "center": {"X_amp": 150.0}, "outputs": ["verify"]}))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "invariant violation: scenario 'far': grid x_min=-158.485, x_max=158.485, "
+            "n_points=4096 resolves momenta up to pi hbar/h = 40.5868, below the state's momentum "
+            "support m omega (X_amp + 8 max std) = 155.657; it needs n_points >= 15706\n")
+        assert not built
+
 
 def _leaf_paths(obj, prefix=()):
     """Key/index paths to every number, integer, boolean and list in a config."""
@@ -449,6 +505,20 @@ class TestTimeseries:
         sc = parse_one(FAST_PURE)
         assert run_scenario(sc, tmp_path).verified
         assert sum(steps) == round(sc.sample_times[-1] / sc.dt)
+
+    def test_the_trajectory_is_cached_per_instance_without_a_private_field(self, monkeypatch):
+        steps = []
+        real_propagate = scenario.propagate
+        monkeypatch.setattr(scenario, "propagate",
+                            lambda psi, osc, cfg: steps.append(cfg.n_steps) or real_propagate(
+                                psi, osc, cfg))
+        sc = parse_one(FAST_PURE)
+        assert not [f.name for f in dataclasses.fields(sc) if f.name.startswith("_")]
+        assert sc.fidelities is sc.fidelities
+        # replace() makes a new instance, which steps its own trajectory
+        early = dataclasses.replace(sc, sample_times=sc.sample_times[:3])
+        assert early.fidelities == sc.fidelities[:3]
+        assert sum(steps) == sum(round(s.sample_times[-1] / s.dt) for s in (sc, early))
 
     @pytest.mark.parametrize("outputs, extra_builds", [
         (["timeseries", "density", "verify"], 0), (["timeseries", "verify", "density"], 1)])
@@ -697,6 +767,15 @@ class TestCLI:
         assert dump.name == product.name
         assert dump.read_bytes() == product.read_bytes()
 
+    def test_dump_density_at_negative_zero_writes_the_file_of_zero(self, tmp_path):
+        # the dump's header and body read t = 0 either way; so must its name
+        for time in ("-0.0", "0"):
+            assert self.run_cli("dump-density", SCENARIOS / "mixed_p4.json", f"--time={time}",
+                                "--out-dir", tmp_path / time, "--quiet") == 0
+        (negative,), (zero,) = (list((tmp_path / time).iterdir()) for time in ("-0.0", "0"))
+        assert negative.name == zero.name == "mixed_p4_density_t0.csv"
+        assert negative.read_bytes() == zero.read_bytes()
+
     @pytest.mark.parametrize("time", [["--time", "nan"], ["--time", "inf"], ["--time=-inf"]],
                              ids=["nan", "inf", "-inf"])
     def test_dump_density_rejects_non_finite_time(self, tmp_path, capsys, time):
@@ -758,6 +837,32 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "boundary contamination in the initial state: edge amplitude 6.616e-08" in err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_a_product_listed_twice_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_PURE, outputs=["timeseries", "verify",
+                                                            "timeseries", "verify"])))
+        out = tmp_path / "o"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 2
+        assert capsys.readouterr().err == (
+            "parse error: scenario 'fast_pure'.outputs lists product 'timeseries' more than once\n")
+        assert not out.exists()
+
+    def test_a_boundary_error_names_the_step_of_the_whole_trajectory(self, tmp_path, capsys):
+        # a ground state swinging to +-5 on +-10.66, stepped in 128-step segments between its
+        # 64 sample times: the guard trips on the 13th step of the 13th segment, step 1549
+        config = {"name": "edge", "squeeze": {"A0": 1.0},
+                  "center": {"X_amp": 5.0, "phi_c": np.pi / 2},
+                  "grid": {"x_min": -10.66, "x_max": 10.66, "n_points": 256}, "outputs": ["verify"]}
+        sc = parse_one(config)
+        with pytest.raises(sx.BoundaryError) as whole:
+            sx.propagate(sx.eval_pure_wavefunction(sc.spec, sc.grid, 0.0), sc.osc,
+                         sx.PropagatorConfig(dt=sc.dt, n_steps=8192))
+        assert "at split step 1549:" in str(whole.value)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: {whole.value}\n"
 
     def test_parse_error_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -40,4 +40,9 @@ class BoundaryError(SqueezedXError):
 
 
 class ConvergenceError(SqueezedXError):
-    """A quadrature rule failed its refinement (node-doubling) check."""
+    """A quadrature rule failed its refinement (node-doubling) check; ``drift`` is the
+    change the refinement made."""
+
+    def __init__(self, message: str, drift: float):
+        super().__init__(message)
+        self.drift = drift

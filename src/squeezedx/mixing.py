@@ -249,8 +249,7 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                 raise ConvergenceError(
                     f"ensemble quadrature not converged at {n_nodes} nodes/axis: "
                     f"node doubling moves the result by {drift:.3e} of peak "
-                    f"(tolerance {CONVERGENCE_TOL:g}); increase n_nodes"
-                )
+                    f"(tolerance {CONVERGENCE_TOL:g}); increase n_nodes", float(drift))
     else:
         raise InvariantError(f"unknown ensemble method {method!r}")
     return DensityMatrixSample(grid=grid, values=rho, time=t)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InvariantError, ParseError
 from .mixing import (
+    CONVERGENCE_TOL,
     DEFAULT_SEED,
     MIN_ENSEMBLE_NODES,
     MixedGaussianSpec,
@@ -30,6 +31,8 @@ from .mixing import (
 )
 from .oracle import PropagatorConfig, fidelity, propagate, purity
 from .states import (
+    COVERAGE_SIGMAS,
+    NORM_TOL,
     CenterTrajectory,
     DensityMatrixSample,
     GaussianStateSpec,
@@ -68,11 +71,14 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# Parse-time bounds, checked before anything is allocated: one N x N complex
-# density at 4096 points takes 256 MiB, and a timeseries row adds only tiles of
-# states.TILE_VALUES to it (row peak measured with tracemalloc at 2048 points: 65.0 MiB
-# for a 64 MiB matrix); 2**20 steps are 128 periods at dt = T/8192; 128 nodes per axis
-# let the node-doubling guard sum at most 256**2 = 65,536 members.
+# Parse-time bounds, checked before anything is allocated.  One N x N complex density at
+# 4096 points takes 256 MiB, and a timeseries row adds only tiles of states.TILE_VALUES to
+# it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
+# A mixed verify holds its probe densities, the ensemble sums and the guard's node-doubled
+# sum at once: 13.2 densities at 512 points, 9.3 (592.8 MiB) at 2048, so about 2.3 GiB at
+# 4096, for each of up to 4 scenarios in the pool.  2**20 steps are 128 periods at
+# dt = T/8192; 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536
+# members.
 MAX_GRID_POINTS = 4096
 MAX_STEPS = 2**20
 MAX_ENSEMBLE_NODES = 128
@@ -234,16 +240,17 @@ def _parse_scenario(obj: dict) -> Scenario:
         return math.pi * osc.hbar / g.spacing
     support = osc.mass * osc.angular_frequency * float(spec.support_radius())
 
-    if obj.get("grid") is None:
-        # from 1024 (pure) or 256 (mixed) points up, the fewest that resolve the momenta
+    if "grid" not in obj:
+        # from 1024 (pure) or 256 (mixed) points up, the fewest that resolve the momenta, at
+        # most MAX_GRID_POINTS; for_state checks the x coverage
         g = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
         grid = replace(g, n_points=bisect_left(range(MAX_GRID_POINTS), support, lo=g.n_points,
                                                key=lambda n: nyquist(replace(g, n_points=n))))
     else:
         grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
-    if grid.n_points > MAX_GRID_POINTS:
-        raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
-    grid.require_coverage(spec)
+        if grid.n_points > MAX_GRID_POINTS:
+            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
+        grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
@@ -253,11 +260,11 @@ def _parse_scenario(obj: dict) -> Scenario:
     dt = _number(p_obj, "dt", f"{ctx}.propagator", osc.period / 8192.0)
     PropagatorConfig(scheme=scheme, dt=dt, n_steps=1)  # validates scheme and dt
 
-    times_obj = obj.get("sample_times")
-    if times_obj is None:
+    if "sample_times" not in obj:
         T = osc.period
         times = tuple(k * T / 64.0 for k in range(64))
     else:
+        times_obj = obj["sample_times"]
         if not isinstance(times_obj, list) or not times_obj:
             raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
         times = tuple(_finite(v, f"{ctx}.sample_times entry") for v in times_obj)
@@ -306,8 +313,8 @@ def _parse_scenario(obj: dict) -> Scenario:
         raise InvariantError(
             f"{ctx}: grid x_min={grid.x_min:.6g}, x_max={grid.x_max:.6g}, "
             f"n_points={grid.n_points} resolves momenta up to pi hbar/h = {nyquist(grid):.6g}, "
-            f"below the state's momentum support m omega (X_amp + 8 max std) = {support:.6g}; "
-            f"it needs n_points >= {need:.6g}")
+            f"below the state's momentum support m omega (X_amp + {COVERAGE_SIGMAS:g} max std) "
+            f"= {support:.6g}; it needs n_points >= {need:.6g}")
     return sc
 
 
@@ -445,7 +452,7 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
 
     samples = [eval_pure_wavefunction(spec, sc.grid, t) for t in sc.sample_times]
     norm_err = max(abs(s.norm() - 1.0) for s in samples)
-    _check(lines, sc.name, "norm-conservation", "max |norm-1|", norm_err, 1e-8)
+    _check(lines, sc.name, "norm-conservation", "max |norm-1|", norm_err, NORM_TOL)
 
     rmax = float(np.max(ode_residuals(spec.squeeze, osc, times)))
     _check(lines, sc.name, "ode-residuals", "max residual", rmax, 1e-6)
@@ -481,7 +488,7 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
     probe = _probe_times(sc)
     dms = [eval_mixed_density(sc.spec, sc.grid, t) for t in probe]
     tr_err = max(abs(dm.trace() - 1.0) for dm in dms)
-    _check(lines, sc.name, "trace", "max |trace-1|", tr_err, 1e-8)
+    _check(lines, sc.name, "trace", "max |trace-1|", tr_err, NORM_TOL)
 
     pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
     _check(lines, sc.name, "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5)
@@ -495,7 +502,8 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
         _check(lines, sc.name, "ensemble-agreement",
                f"max peak-relative error at {sc.ensemble_nodes} nodes", ens_err, 1e-8)
     except ConvergenceError as exc:
-        lines.append((False, f"[{sc.name}] ensemble-agreement: FAIL ({exc})"))
+        _check(lines, sc.name, "ensemble-agreement",
+               f"node-doubling drift at {sc.ensemble_nodes} nodes", exc.drift, CONVERGENCE_TOL)
 
     if sc.mc_check:
         rho = dms[0].values

@@ -52,7 +52,7 @@ __all__ = [
 # is admissible and |P - 1| <= tol marks a pure state.
 REDUNDANCY_TOL = 1e-12
 
-# Trapezoid norm of a wavefunction sample must be 1 to within this.
+# Trapezoid norm of a wavefunction, or trace of a density, must be 1 to within this.
 NORM_TOL = 1e-8
 
 # Central-difference step of the residual diagnostics, in units of 1/omega.
@@ -185,7 +185,7 @@ class GridSpec:
 
         The default margin of 12 keeps edge amplitudes below 1e-12 so the
         grid is usable for propagation, comfortably past the hard coverage
-        minimum of 8.
+        minimum of COVERAGE_SIGMAS.
         """
         radius = spec.support_radius(margin)
         grid = cls(-radius, radius, n_points)
@@ -487,10 +487,10 @@ def eval_pure_density(spec: GaussianStateSpec, grid: GridSpec, t: float) -> Dens
 # ---------------------------------------------------------------------------
 
 def _spectral_derivatives(values: np.ndarray, grid: GridSpec) -> tuple:
-    """(psi', psi'') of the periodic extension of ``values``, from one forward transform."""
-    ik = 1j * grid.wavenumbers()
-    values_k = np.fft.fft(values)
-    return np.fft.ifft(ik * values_k), np.fft.ifft(ik ** 2 * values_k)
+    """(f', f'') along axis 0 of the periodic extension of ``values``, from one forward transform."""
+    ik = (1j * grid.wavenumbers()).reshape((-1,) + (1,) * (values.ndim - 1))
+    values_k = np.fft.fft(values, axis=0)
+    return np.fft.ifft(ik * values_k, axis=0), np.fft.ifft(ik ** 2 * values_k, axis=0)
 
 
 def _diagonals(sample) -> tuple:
@@ -502,19 +502,12 @@ def _diagonals(sample) -> tuple:
     if isinstance(sample, DensityMatrixSample):
         rho = sample.values
         n = rho.shape[0]
-        ik = 1j * sample.grid.wavenumbers()[:, None]
-        factors = [ik ** order for order in (1, 2)]
         d1_diag, d2_diag = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        tiles = _tiles(n, n, TILE_VALUES)
-        # one buffer as wide as the first tile takes both derivatives of each column tile in
-        # turn; only its diagonal entries (j + c, c) are kept, and rho is never written
-        buf = np.empty((n, tiles[0].stop), dtype=complex)
-        for cols in tiles:
-            rho_k = np.fft.fft(rho[:, cols], axis=0)
-            tile = buf[:, :rho_k.shape[1]]
-            for factor, diag in zip(factors, (d1_diag, d2_diag)):
-                np.fft.ifft(np.multiply(factor, rho_k, out=tile), axis=0, out=tile)
-                diag[cols] = np.diagonal(tile[cols.start:])
+        # one tile of columns at a time; only the entries (j + c, c) on rho's diagonal are kept
+        for cols in _tiles(n, n, TILE_VALUES):
+            d1, d2 = _spectral_derivatives(rho[:, cols], sample.grid)
+            d1_diag[cols] = np.diagonal(d1[cols.start:])
+            d2_diag[cols] = np.diagonal(d2[cols.start:])
         return np.diagonal(rho).real, d1_diag, d2_diag
     raise TypeError(
         f"moments expects a WavefunctionSample or DensityMatrixSample, got {type(sample)!r}")
@@ -524,12 +517,12 @@ def moments(sample, osc: OscillatorConfig) -> Moments:
     """Grid-quadrature moments of a wavefunction or density-matrix sample.
 
     One trapezoid quadrature over the three diagonals of ``_diagonals``; the input
-    must be normalized (trapezoid integral of rho(x, x) within 1e-6 of 1).
+    must be normalized (trapezoid integral of rho(x, x) within NORM_TOL of 1).
     """
     diag, d1_diag, d2_diag = _diagonals(sample)
     grid, hbar = sample.grid, osc.hbar
     norm = float(_trapz(diag, grid))
-    if not abs(norm - 1.0) <= 1e-6:
+    if not abs(norm - 1.0) <= NORM_TOL:
         raise InvariantError(f"moments requires a normalized input: int rho(x, x) dx = {norm!r}")
     x = grid.points()
     mean_x = float(_trapz(x * diag, grid))

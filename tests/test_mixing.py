@@ -255,8 +255,11 @@ class TestEnsembleAverage:
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=2 * SGR)
         rp = sx.reparameterize(ms)
         grid = sx.GridSpec.for_state(rp, n_points=256, margin=8.0)
-        with pytest.raises(sx.ConvergenceError, match="increase n_nodes"):
+        with pytest.raises(sx.ConvergenceError, match="increase n_nodes") as guard:
             sx.ensemble_average_density(ms, grid, 1.3, 32)
+        # the error carries the drift its message prints
+        assert guard.value.drift > mixing.CONVERGENCE_TOL
+        assert f"moves the result by {guard.value.drift:.3e} of peak" in str(guard.value)
         for t in (0.0, 1.3):
             ens = sx.ensemble_average_density(ms, grid, t, 96, check_convergence=False)
             cf = sx.eval_mixed_density(rp, grid, t)

@@ -16,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -222,6 +223,22 @@ class TestParsing:
         bad = dict(FAST_PURE, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 64})
         with pytest.raises(sx.CoverageError):
             parse_one(bad)
+
+    @pytest.mark.parametrize("config", [
+        {"squeeze": {"A0": 1.0}},
+        {"squeeze": {"A0": 1.0}, "sigma_a": 0.5},
+        {"squeeze": {"A0": 1.0}, "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}},
+        {"squeeze": {"A0": 1.0}, "sigma_a": 0.5,
+         "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}},
+    ], ids=["automatic-pure", "automatic-mixed", "given-pure", "given-mixed"])
+    def test_x_coverage_is_checked_once_per_grid(self, monkeypatch, config):
+        checked = []
+        real = sx.GridSpec.require_coverage
+        monkeypatch.setattr(sx.GridSpec, "require_coverage",
+                            lambda grid, spec: checked.append(grid) or real(grid, spec))
+        sc = parse_one(dict(config, name="m", outputs=["verify"]))
+        assert len(checked) == 1
+        assert dataclasses.replace(checked[0], n_points=sc.grid.n_points) == sc.grid
 
 
 def old_spacing_ratio(sc):
@@ -644,6 +661,37 @@ class TestVerify:
             "[fast_pure] propagation-fidelity: FAIL "
             "(1 - min fidelity = 5.686e-05, tol 1e-06, margin -5.586e-05)"]
 
+    def test_a_fired_ensemble_guard_reports_its_drift_as_a_check(self, tmp_path, capsys):
+        # at sigma_a = 2 sigma_gr doubling the 32 nodes moves the ensemble by 4.224e-04 of peak
+        sgr = math.sqrt(0.5)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "wide", "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.4},
+            "center": {"X_amp": sgr, "phi_c": 1.0}, "sigma_a": 2 * sgr,
+            "sample_times": [0.0, 1.3], "outputs": ["verify"]}))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "[wide] ensemble-agreement: FAIL (node-doubling drift at 32 nodes = 4.224e-04, "
+            "tol 1e-08, margin -4.224e-04)",
+            "verification FAILED"]
+        _, lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
+        assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
+
+    def test_a_mixed_verify_holds_at_most_14_densities(self):
+        # the three probe densities, the ensemble's real sums and the guard's 64-node sum:
+        # 13.2 densities (52.8 MiB) at 512 points
+        n = 512
+        sc = parse_one(dict(FAST_MIXED, grid={"x_min": -12.0, "x_max": 12.0, "n_points": n},
+                            sample_times=[0.0, 0.7, 1.9], outputs=["verify"]))
+        tracemalloc.start()
+        try:
+            passed, lines = verify_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passed, lines
+        assert peak <= 14 * n * n * 16
+
     def test_nan_value_fails(self):
         lines = []
         scenario._check(lines, "s", "some-law", "max error", float("nan"), 1e-8)
@@ -886,6 +934,16 @@ class TestCLI:
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 2
             assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("key", ["oscillator", "center", "sigma_a", "grid", "propagator",
+                                     "sample_times", "ensemble_nodes", "mc_check"])
+    def test_a_null_optional_key_exit_2(self, tmp_path, capsys, key):
+        # null is a value of the wrong type, not an absent key that takes its default
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"],
+                                   key: None}))
+        assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith(f"parse error: scenario 'm'.{key} must be ")
 
     def test_invariant_violation_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -534,6 +534,10 @@ class TestTiledKernels:
         assert np.array_equal(bits(diag), bits(np.diagonal(rho).real))
         for got, want in zip((d1, d2), whole_matrix_derivative_diagonals(rho, grid)):
             assert np.array_equal(bits(got), bits(want))
+        # the 2-D derivatives differentiate each column as the 1-D wavefunction path does
+        columns = [states._spectral_derivatives(rho[:, j], grid) for j in range(n)]
+        for got, want in zip(states._spectral_derivatives(rho, grid), zip(*columns)):
+            assert np.array_equal(bits(got), bits(np.stack(want, axis=1)))
 
     def test_a_row_holds_one_matrix_and_a_few_tiles(self):
         spec, grid = state_on(1024, 1.25, 0.75)

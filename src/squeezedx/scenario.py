@@ -32,7 +32,6 @@ from .mixing import (
 from .oracle import PropagatorConfig, fidelity, propagate, purity
 from .states import (
     COVERAGE_SIGMAS,
-    NORM_TOL,
     CenterTrajectory,
     DensityMatrixSample,
     GaussianStateSpec,
@@ -75,11 +74,12 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # 4096 points takes 256 MiB, and a timeseries row adds only tiles of states.TILE_VALUES to
 # it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
 # A mixed verify holds its probe densities, the ensemble sums and the guard's node-doubled
-# sum at once: 13.2 densities at 512 points, 9.3 (592.8 MiB) at 2048, so about 2.3 GiB at
-# 4096, for each of up to 4 scenarios in the pool.  2**20 steps are 128 periods at
-# dt = T/8192; 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536
-# members.
+# sum at once (tracemalloc): 13.2 densities at 512 points, 9.3 (592.8 MiB) at 2048.  At 4096
+# that would be about 2.3 GiB for each of up to 4 scenarios in the pool, so mixed grids stop
+# at 2048 points.  2**20 steps are 128 periods at dt = T/8192; 128 nodes per axis let the
+# node-doubling guard sum at most 256**2 = 65,536 members.
 MAX_GRID_POINTS = 4096
+MAX_MIXED_GRID_POINTS = 2048
 MAX_STEPS = 2**20
 MAX_ENSEMBLE_NODES = 128
 
@@ -239,17 +239,18 @@ def _parse_scenario(obj: dict) -> Scenario:
     def nyquist(g: GridSpec) -> float:
         return math.pi * osc.hbar / g.spacing
     support = osc.mass * osc.angular_frequency * float(spec.support_radius())
+    max_points = MAX_MIXED_GRID_POINTS if mixed else MAX_GRID_POINTS
 
     if "grid" not in obj:
         # from 1024 (pure) or 256 (mixed) points up, the fewest that resolve the momenta, at
-        # most MAX_GRID_POINTS; for_state checks the x coverage
+        # most max_points; for_state checks the x coverage
         g = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
-        grid = replace(g, n_points=bisect_left(range(MAX_GRID_POINTS), support, lo=g.n_points,
+        grid = replace(g, n_points=bisect_left(range(max_points), support, lo=g.n_points,
                                                key=lambda n: nyquist(replace(g, n_points=n))))
     else:
         grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
-        if grid.n_points > MAX_GRID_POINTS:
-            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {MAX_GRID_POINTS}")
+        if grid.n_points > max_points:
+            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {max_points}")
         grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})
@@ -352,12 +353,11 @@ def density_at(sc: Scenario, t: float) -> DensityMatrixSample:
     return eval_pure_density(sc.spec, sc.grid, t)
 
 
-def emit_timeseries(sc: Scenario, path: Path) -> DensityMatrixSample:
+def emit_timeseries(sc: Scenario, path: Path) -> None:
     """Write the per-sample-time table; see TIMESERIES_COLUMNS for the layout.
 
     phi and fidelity_numeric are blank for mixed states (a mixed density
-    matrix carries no global phase and is not propagated here).  Returns the
-    last row's density matrix, which a density dump at that time can reuse.
+    matrix carries no global phase and is not propagated here).
     """
     spec = sc.spec
     omega = sc.osc.angular_frequency
@@ -376,7 +376,6 @@ def emit_timeseries(sc: Scenario, path: Path) -> DensityMatrixSample:
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return dm
 
 
 def write_wavefunction_dump(sc: Scenario, t: float, path: Path) -> None:
@@ -450,10 +449,6 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
     omega = osc.angular_frequency
     times = np.asarray(sc.sample_times)
 
-    samples = [eval_pure_wavefunction(spec, sc.grid, t) for t in sc.sample_times]
-    norm_err = max(abs(s.norm() - 1.0) for s in samples)
-    _check(lines, sc.name, "norm-conservation", "max |norm-1|", norm_err, NORM_TOL)
-
     rmax = float(np.max(ode_residuals(spec.squeeze, osc, times)))
     _check(lines, sc.name, "ode-residuals", "max residual", rmax, 1e-6)
 
@@ -462,9 +457,10 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
 
     s2 = osc.ground_variance
     var_err = 0.0
-    for t, s in zip(sc.sample_times, samples):
+    for t in sc.sample_times:
         A, _ = quadrature_shape(spec.squeeze, omega, t)
-        var_err = max(var_err, abs(moments(s, osc).var_x - s2 * A) / (s2 * A))
+        var_x = moments(eval_pure_wavefunction(spec, sc.grid, t), osc).var_x
+        var_err = max(var_err, abs(var_x - s2 * A) / (s2 * A))
     _check(lines, sc.name, "variance-law", "max rel |var_x - sigma_gr^2 A|", var_err, 1e-8)
 
     if spec.center.X_amp == 0.0:
@@ -487,9 +483,6 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
 def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
     probe = _probe_times(sc)
     dms = [eval_mixed_density(sc.spec, sc.grid, t) for t in probe]
-    tr_err = max(abs(dm.trace() - 1.0) for dm in dms)
-    _check(lines, sc.name, "trace", "max |trace-1|", tr_err, NORM_TOL)
-
     pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
     _check(lines, sc.name, "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5)
 
@@ -564,29 +557,24 @@ def _prepare_out_dir(scenarios, out_dir: Path) -> None:
 
 
 def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> ScenarioResult:
-    """Make the products ``sc.outputs`` names; dumps are taken at the last sample time.
-
-    A density dump reuses the timeseries' last matrix unless the checks ran in between.
-    """
+    """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
     _prepare_out_dir([sc], out_dir)
     paths = _product_paths(sc, out_dir)
     files: list = []
     lines: list = []
     t = sc.sample_times[-1]
-    last = None  # the density at t from the timeseries
     for product in sc.outputs:
         if product == "verify":
-            last = None  # no N x N matrix is held while the checks build theirs
             lines.extend(verify_scenario(sc, seed=seed)[1])
             continue
         path = paths[product]
         try:
             if product == "timeseries":
-                last = emit_timeseries(sc, path)
+                emit_timeseries(sc, path)
             elif product == "wavefunction":
                 write_wavefunction_dump(sc, t, path)
             else:
-                write_density_dump(density_at(sc, t) if last is None else last, path)
+                write_density_dump(density_at(sc, t), path)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
         files.append(path)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 
 import squeezedx as sx
-from squeezedx import cli, scenario
+from squeezedx import cli, mixing, scenario, states
 from squeezedx.oracle import SCHEMES
 from squeezedx.scenario import (
     density_at,
@@ -80,7 +80,6 @@ DENSITY_DUMP_DIGESTS = {
 # wavefunction and density moments were merged into one quadrature.
 VERIFY_LINES = {
     "ground_state": [
-        "[ground_state] norm-conservation: PASS (max |norm-1| = 2.220e-16, tol 1e-08, margin 1.000e-08)",
         "[ground_state] ode-residuals: PASS (max residual = 6.989e-11, tol 1e-06, margin 9.999e-07)",
         "[ground_state] schrodinger-residual: PASS (max residual = 1.662e-10, tol 1e-05, margin 1.000e-05)",
         "[ground_state] variance-law: PASS (max rel |var_x - sigma_gr^2 A| = 4.441e-16, tol 1e-08, "
@@ -92,7 +91,6 @@ VERIFY_LINES = {
         "margin 1.000e-06)",
     ],
     "squeezed_vacuum": [
-        "[squeezed_vacuum] norm-conservation: PASS (max |norm-1| = 3.331e-16, tol 1e-08, margin 1.000e-08)",
         "[squeezed_vacuum] ode-residuals: PASS (max residual = 4.717e-10, tol 1e-06, margin 9.995e-07)",
         "[squeezed_vacuum] schrodinger-residual: PASS (max residual = 2.562e-10, tol 1e-05, "
         "margin 1.000e-05)",
@@ -103,7 +101,6 @@ VERIFY_LINES = {
         "margin 1.000e-06)",
     ],
     "mixed_p4": [
-        "[mixed_p4] trace: PASS (max |trace-1| = 0.000e+00, tol 1e-08, margin 1.000e-08)",
         "[mixed_p4] purity-law: PASS (max |purity - P^-1/2| = 1.832e-15, tol 1e-05, margin 1.000e-05)",
         "[mixed_p4] ensemble-agreement: PASS (max peak-relative error at 32 nodes = 2.647e-15, tol 1e-08, "
         "margin 1.000e-08)",
@@ -266,13 +263,14 @@ class TestMomentumCoverage:
         R = sgr * (X + 8.0 * math.sqrt(A0 + s * s + dA))
         x_min, x_max = -left * R, right * R
         need = 1.0 + (x_max - x_min) * mass * omega * R / (math.pi * hbar)
+        bound = scenario.MAX_MIXED_GRID_POINTS if s else scenario.MAX_GRID_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
                 "squeeze": {"A0": A0, "dA": dA, "phi_sq": phi_sq},
                 "center": {"X_amp": X * sgr, "phi_c": phi_c}, "sigma_a": s * sgr,
                 "grid": {"x_min": x_min, "x_max": x_max,
-                         "n_points": min(scenario.MAX_GRID_POINTS, max(16, math.ceil(k * need)))},
+                         "n_points": min(bound, max(16, math.ceil(k * need)))},
                 "sample_times": [0.0], "outputs": ["verify"]})
         except sx.InvariantError as exc:
             assert "resolves momenta" in str(exc)
@@ -286,8 +284,10 @@ class TestMomentumCoverage:
     @settings(max_examples=200, deadline=None)
     def test_an_automatic_grid_has_the_fewest_points_that_resolve_the_momenta(
             self, mass, omega, hbar, r, X, s):
-        # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256 and 4096
+        # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256, 2048
+        # and 4096
         sgr = math.sqrt(hbar / (2.0 * mass * omega))
+        bound = scenario.MAX_MIXED_GRID_POINTS if s else scenario.MAX_GRID_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
@@ -295,7 +295,7 @@ class TestMomentumCoverage:
                 "center": {"X_amp": X * sgr}, "sigma_a": s * sgr,
                 "sample_times": [0.0], "outputs": ["verify"]})
         except sx.InvariantError as exc:
-            assert f"n_points={scenario.MAX_GRID_POINTS} resolves momenta up to" in str(exc)
+            assert f"n_points={bound} resolves momenta up to" in str(exc)
             return
         support = mass * omega * float(sc.spec.support_radius())
 
@@ -303,7 +303,7 @@ class TestMomentumCoverage:
             return math.pi * hbar / dataclasses.replace(sc.grid, n_points=n_points).spacing
 
         n, floor = sc.grid.n_points, 256 if s else 1024
-        assert floor <= n <= scenario.MAX_GRID_POINTS
+        assert floor <= n <= bound
         assert nyquist(n) >= support
         assert n == floor or nyquist(n - 1) < support
 
@@ -334,6 +334,27 @@ class TestMomentumCoverage:
             "invariant violation: scenario 'far': grid x_min=-158.485, x_max=158.485, "
             "n_points=4096 resolves momenta up to pi hbar/h = 40.5868, below the state's momentum "
             "support m omega (X_amp + 8 max std) = 155.657; it needs n_points >= 15706\n")
+        assert not built
+
+    @pytest.mark.parametrize("config, message", [
+        ({"grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 2049}},
+         "scenario 'm'.grid: n_points=2049 exceeds 2048"),
+        ({"center": {"X_amp": 60.0}},
+         "scenario 'm': grid x_min=-70.3923, x_max=70.3923, n_points=2048 resolves momenta up "
+         "to pi hbar/h = 45.6786, below the state's momentum support m omega (X_amp + 8 max std) "
+         "= 66.9282; it needs n_points >= 3000.26"),
+    ], ids=["given", "automatic"])
+    def test_a_mixed_grid_past_max_mixed_grid_points_exit_3_before_any_array(
+            self, tmp_path, capsys, monkeypatch, config, message):
+        # both grids are within MAX_GRID_POINTS, and the automatic one took 3001 points under it
+        built = []
+        for name in ("eval_mixed_density", "ensemble_average_density", "eval_pure_density"):
+            monkeypatch.setattr(scenario, name, lambda *args, **kwargs: built.append(args))
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(config, name="m", squeeze={"A0": 1.0}, sigma_a=0.5,
+                                       outputs=["timeseries", "density", "verify"])))
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
         assert not built
 
 
@@ -537,10 +558,10 @@ class TestTimeseries:
         assert early.fidelities == sc.fidelities[:3]
         assert sum(steps) == sum(round(s.sample_times[-1] / s.dt) for s in (sc, early))
 
-    @pytest.mark.parametrize("outputs, extra_builds", [
-        (["timeseries", "density", "verify"], 0), (["timeseries", "verify", "density"], 1)])
-    def test_density_dump_reuses_the_last_row_but_holds_no_matrix_through_verify(
-            self, tmp_path, monkeypatch, outputs, extra_builds):
+    @pytest.mark.parametrize("outputs", [
+        ["timeseries", "density", "verify"], ["timeseries", "verify", "density"]])
+    def test_density_dump_builds_its_own_matrix_and_none_is_held_through_verify(
+            self, tmp_path, monkeypatch, outputs):
         sc = parse_one(dict(FAST_MIXED, outputs=outputs))
         built = []
         real_density_at = scenario.density_at
@@ -559,7 +580,7 @@ class TestTimeseries:
         monkeypatch.setattr(scenario, "density_at", counting_density_at)
         monkeypatch.setattr(scenario, "verify_scenario", verify_with_no_matrix_alive)
         assert run_scenario(sc, tmp_path).verified
-        assert built == list(sc.sample_times) + [sc.sample_times[-1]] * extra_builds
+        assert built == list(sc.sample_times) + [sc.sample_times[-1]]
 
     def test_seventeen_digit_cells_round_trip_exactly(self, tmp_path):
         # %.17g guarantees a double survives text round-trip bit for bit
@@ -640,7 +661,7 @@ class TestVerify:
         ok, lines = verify_scenario(parse_one(FAST_PURE))
         assert ok, lines
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
-        assert {"norm-conservation", "ode-residuals", "schrodinger-residual",
+        assert {"ode-residuals", "schrodinger-residual",
                 "variance-law", "phase-law", "propagation-fidelity"} <= labels
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
@@ -648,7 +669,7 @@ class TestVerify:
         ok, lines = verify_scenario(parse_one(FAST_MIXED))
         assert ok, lines
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
-        assert {"trace", "purity-law", "ensemble-agreement"} <= labels
+        assert {"purity-law", "ensemble-agreement"} <= labels
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
     def test_failing_check_fails_the_scenario(self, tmp_path):
@@ -719,6 +740,49 @@ class TestVerify:
         passed, _ = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times)))
         assert passed
         assert probed == times
+
+
+def plant_norm_defect(monkeypatch, mixed: bool, scale: float) -> None:
+    """Multiply every closed-form psi by ``scale``, or every closed-form rho by ``scale**2``."""
+    if mixed:
+        real = mixing._gaussian_density
+        monkeypatch.setattr(mixing, "_gaussian_density", lambda spec, grid, t, P: (
+            sx.DensityMatrixSample(grid=grid, values=real(spec, grid, t, P).values * scale**2,
+                                   time=t)))
+    else:
+        real = states._pure_psi
+        monkeypatch.setattr(states, "_pure_psi", lambda spec, x, t: real(spec, x, t) * scale)
+
+
+class TestPlantedNormDefects:
+    """Normalization is judged where a sample is built: a defect above NORM_TOL stops the
+    command at exit 3 before any check line or product, and one below it passes."""
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("config, message", [
+        (FAST_PURE, "invariant violation: wavefunction norm invariant violated: "),
+        (FAST_MIXED, "invariant violation: density trace invariant violated: "),
+    ], ids=["pure", "mixed"])
+    def test_a_defect_above_the_tolerance_exit_3_with_no_check_line_or_product(
+            self, tmp_path, capsys, monkeypatch, config, message, command):
+        plant_norm_defect(monkeypatch, "sigma_a" in config, 1 + 1e-6)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert cli.main([command, str(cfg), "--out-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+        assert not (out.exists() and any(out.iterdir()))
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("config", [FAST_PURE, FAST_MIXED], ids=["pure", "mixed"])
+    def test_a_defect_within_the_tolerance_passes(
+            self, tmp_path, monkeypatch, config, command):
+        plant_norm_defect(monkeypatch, "sigma_a" in config, 1 + 1e-10)
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([command, str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 class TestDumps:

@@ -369,6 +369,7 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
         dm = density_at(sc, t)
         mom = moments(dm, sc.osc)
         pur = purity(dm)
+        del dm  # so the next row's matrix is built with none other held
         phi = None if sc.is_mixed else accumulated_phase(spec.squeeze, spec.center, sc.osc, t)
         rows.append((t, A, B, phi, x_c, p_c, mom.var_x, mom.var_p, mom.cov_xp,
                      mom.uncertainty_product, pur, fid))

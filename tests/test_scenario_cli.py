@@ -582,6 +582,22 @@ class TestTimeseries:
         assert run_scenario(sc, tmp_path).verified
         assert built == list(sc.sample_times) + [sc.sample_times[-1]]
 
+    def test_each_row_is_built_with_no_other_matrix_alive(self, tmp_path, monkeypatch):
+        sc = parse_one(dict(FAST_PURE, outputs=["timeseries"]))
+        real_density_at = scenario.density_at
+        built = []
+
+        def density_at_with_no_matrix_alive(sc, t):
+            gc.collect()
+            assert not [o for o in gc.get_objects()
+                        if isinstance(o, sx.DensityMatrixSample) and o.grid is sc.grid]
+            built.append(t)
+            return real_density_at(sc, t)
+
+        monkeypatch.setattr(scenario, "density_at", density_at_with_no_matrix_alive)
+        run_scenario(sc, tmp_path)
+        assert built == list(sc.sample_times)
+
     def test_seventeen_digit_cells_round_trip_exactly(self, tmp_path):
         # %.17g guarantees a double survives text round-trip bit for bit
         sc = parse_one(FAST_MIXED)
@@ -698,9 +714,11 @@ class TestVerify:
         _, lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
-    def test_a_mixed_verify_holds_at_most_14_densities(self):
+    def test_a_mixed_verify_holds_at_most_14_densities(self, monkeypatch):
         # the three probe densities, the ensemble's real sums and the guard's 64-node sum:
-        # 13.2 densities (52.8 MiB) at 512 points
+        # 13.2 densities (52.8 MiB) at 512 points; the probe densities from malloc, where
+        # tracemalloc sees them
+        monkeypatch.setattr(states, "_own_pages", lambda n: np.empty((n, n), dtype=complex))
         n = 512
         sc = parse_one(dict(FAST_MIXED, grid={"x_min": -12.0, "x_max": 12.0, "n_points": n},
                             sample_times=[0.0, 0.7, 1.9], outputs=["verify"]))

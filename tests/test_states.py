@@ -1,5 +1,6 @@
 """Analytic-core tests: closed forms against independent oracles."""
 
+import mmap
 import re
 import tracemalloc
 
@@ -539,8 +540,19 @@ class TestTiledKernels:
         for got, want in zip(states._spectral_derivatives(rho, grid), zip(*columns)):
             assert np.array_equal(bits(got), bits(np.stack(want, axis=1)))
 
-    def test_a_row_holds_one_matrix_and_a_few_tiles(self):
+    def test_the_matrix_has_its_own_mapping_so_freeing_it_returns_its_pages(self):
+        spec, grid = state_on(64, 1.25, 0.75)
+        values = sx.eval_pure_density(spec, grid, 0.7).values
+        owner = values
+        while isinstance(owner, (np.ndarray, memoryview)):
+            owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+        assert isinstance(owner, mmap.mmap)
+        assert values.flags.c_contiguous and values.flags.writeable
+
+    def test_a_row_holds_one_matrix_and_a_few_tiles(self, monkeypatch):
         spec, grid = state_on(1024, 1.25, 0.75)
+        # the matrix from malloc, where tracemalloc sees it
+        monkeypatch.setattr(states, "_own_pages", lambda n: np.empty((n, n), dtype=complex))
         tracemalloc.start()
         try:
             sx.moments(sx.eval_pure_density(spec, grid, 0.7), OSC)

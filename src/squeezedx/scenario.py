@@ -225,14 +225,16 @@ def _parse_scenario(obj: dict) -> Scenario:
     center = _section(CenterTrajectory, obj.get("center", {}), f"{ctx}.center")
 
     sigma_a = _number(obj, "sigma_a", ctx, 0.0)
-    mixed = MixedGaussianSpec(GaussianStateSpec(osc, squeeze, center), sigma_a)
-    if sigma_a > 0:
+    spec, mixed = GaussianStateSpec(osc, squeeze, center), None
+    if sigma_a:  # nonzero: MixedGaussianSpec rejects a negative one
+        mixed = MixedGaussianSpec(spec, sigma_a)
         try:
             spec = reparameterize(mixed)
         except OverflowError as exc:  # sigma_a**2 beyond the float range
             raise InvariantError(f"{ctx}: sigma_a={sigma_a!r} is out of range: {exc}") from exc
-    else:
-        spec, mixed = mixed.base, None
+    elif not squeeze.is_pure:
+        raise InvariantError(f"{ctx}.squeeze: P = {squeeze.purity_product!r}, not 1 as a pure "
+                             "state needs; a mixed state is a pure squeeze with sigma_a > 0")
 
     # a grid's Nyquist momentum pi hbar/h must cover the momentum support m omega R, the dual of
     # the x coverage radius R (which keeps h below the narrowest x std); an inf support fails it

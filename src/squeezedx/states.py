@@ -275,7 +275,7 @@ def _own_pages(n: int) -> np.ndarray:
 
 
 def _peak_and_hermiticity_defect(values: np.ndarray) -> tuple:
-    """max |rho| and max |rho - rho^H|, one tile of rows at a time.
+    """max |rho| and max |rho - rho^H| (2 |Im rho_ii| on the diagonal), one row tile at a time.
 
     |rho_ij - conj(rho_ji)| = |rho_ji - conj(rho_ij)| holds bitwise, and every
     pair j >= i lies in row i's tile, so the tiles give exactly the
@@ -310,10 +310,8 @@ class DensityMatrixSample:
             raise InvariantError(
                 f"density Hermiticity invariant violated: max |rho - rho^H| = {herm!r}"
             )
-        diag = np.diagonal(self.values)
-        if not (np.abs(diag.imag).max() <= 1e-10 * max(scale, 1.0)
-                and diag.real.min() >= -1e-10 * scale):
-            raise InvariantError("density diagonal must be real and non-negative")
+        if not np.diagonal(self.values).real.min() >= -1e-10 * scale:
+            raise InvariantError("density diagonal must be non-negative")
         tr = self.trace()
         if not abs(tr - 1.0) <= NORM_TOL:
             raise InvariantError(
@@ -529,14 +527,11 @@ def _diagonals(sample) -> tuple:
 def moments(sample, osc: OscillatorConfig) -> Moments:
     """Grid-quadrature moments of a wavefunction or density-matrix sample.
 
-    One trapezoid quadrature over the three diagonals of ``_diagonals``; the input
-    must be normalized (trapezoid integral of rho(x, x) within NORM_TOL of 1).
+    One trapezoid quadrature over the three diagonals of ``_diagonals``; a sample is
+    normalized when it is built, so the input is trusted.
     """
     diag, d1_diag, d2_diag = _diagonals(sample)
     grid, hbar = sample.grid, osc.hbar
-    norm = float(_trapz(diag, grid))
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise InvariantError(f"moments requires a normalized input: int rho(x, x) dx = {norm!r}")
     x = grid.points()
     mean_x = float(_trapz(x * diag, grid))
     var_x = float(_trapz((x - mean_x) ** 2 * diag, grid))

@@ -1,0 +1,165 @@
+"""Planted defects: each check that guards a law is shown to catch a wrong law.
+
+The method is mutation testing (DeMillo, Lipton and Sayward, "Hints on test
+data selection", IEEE Computer 1978). Each defect is one monkeypatch of one
+function: its source with one piece of text replaced, recompiled in its
+module. ``states``, ``mixing`` and ``scenario`` import names from each other,
+so a defect replaces the function at every module binding. Every defect is
+verified against the same five configs: the three bundled scenarios, the
+displaced pure config of ROADMAP item 4 and the displaced mixed config of
+item 2.
+
+A defect is caught when one config prints a FAIL line or stops with an error.
+Exit 3 (an ``InvariantError``) means a sample constructor or a parse rule
+judged it; exit 1 (another ``SqueezedXError``) means a propagator guard did.
+Normalization defects are the constructors' too: ``TestPlantedNormDefects``
+in test_scenario_cli.py plants them. A defect that survives today is an
+expected failure that names the ROADMAP item that closes it.
+
+    PYTHONPATH=src python -m pytest tests/test_mutation.py -s
+
+prints which check caught each defect, and its margin or message.
+"""
+
+import inspect
+import json
+import re
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from squeezedx import mixing, oracle, scenario, states
+from squeezedx.errors import InvariantError, SqueezedXError
+
+pytestmark = pytest.mark.slow
+
+REPO = Path(__file__).resolve().parent.parent
+MODULES = (states, oracle, mixing, scenario)
+
+CONFIGS = {name: json.loads((REPO / "scenarios" / f"{name}.json").read_text())
+           for name in ("ground_state", "squeezed_vacuum", "mixed_p4")}
+# ROADMAP item 4: displaced and squeezed, split-step, one period at dt = T/8192
+CONFIGS["displaced_squeezed"] = {
+    "name": "displaced_squeezed", "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.7},
+    "center": {"X_amp": 2.0, "phi_c": 0.3},
+    "grid": {"x_min": -16.0, "x_max": 16.0, "n_points": 512}, "outputs": ["verify"]}
+# ROADMAP item 2: a displaced squeezed base (P = 1) smeared to P = 3.68, on the automatic
+# 256-point grid
+CONFIGS["displaced_squeezed_mixed"] = {
+    "name": "displaced_squeezed_mixed", "squeeze": {"A0": 1.5, "dA": 1.25 ** 0.5, "phi_sq": 0.4},
+    "center": {"X_amp": 1.0, "phi_c": 0.3}, "sigma_a": 0.6,
+    "sample_times": [k * 2.0 * np.pi / 8.0 for k in range(8)], "outputs": ["verify"]}
+MIXED = ("mixed_p4", "displaced_squeezed_mixed")
+
+FAIL_LINE = re.compile(r"^\[\S+\] (\S+): FAIL \(.+, margin (\S+)\)$")
+
+
+def verify(config: dict) -> list:
+    """What `squeezedx verify` reports against a law: (check, margin) for each FAIL line, or,
+    for the error that stopped it, (exit code, class and what it judged; the value measured)."""
+    try:
+        _, lines = scenario.verify_scenario(scenario.parse_config(json.dumps(config))[0])
+    except SqueezedXError as exc:
+        judged, _, measured = str(exc).partition(": ")
+        code = 3 if isinstance(exc, InvariantError) else 1
+        return [(f"exit {code} {type(exc).__name__}: {judged}", measured)]
+    return [FAIL_LINE.match(line).groups() for ok, line in lines if not ok]
+
+
+def catches(names, label: str) -> dict:
+    """config name -> what caught the planted defect there; printed, one line each."""
+    found = {name: verify(CONFIGS[name]) for name in names}
+    for name, caught in found.items():
+        for check, detail in caught:
+            print(f"[{label}] {name}: {check} ({detail})")
+    return found
+
+
+def plant(monkeypatch, home, name: str, old: str, new: str) -> None:
+    """Recompile ``home.name`` with the text ``old`` (found exactly once) replaced by ``new``,
+    and put it wherever a squeezedx module binds the real function."""
+    real = getattr(home, name)
+    source = textwrap.dedent(inspect.getsource(real))
+    if source.count(old) != 1:  # not an AssertionError, which the expected failures expect
+        raise LookupError(f"{old!r} is not once in {name}")
+    namespace: dict = {}
+    exec(compile(source.replace(old, new), f"<planted {name}>", "exec"), vars(home), namespace)
+    bound = [mod for mod in MODULES if getattr(mod, name, None) is real]
+    for mod in bound:
+        monkeypatch.setattr(mod, name, namespace[name])
+
+
+def imaginary_diagonal(fraction: float) -> tuple:
+    """``_gaussian_density`` adds i * fraction * 1e-10 * max(peak, 1) to the diagonal."""
+    ret = "return DensityMatrixSample(grid=grid, values=rho, time=t)"
+    return (states, "_gaussian_density", ret,
+            f"rho[np.diag_indices(x.size)] += {fraction}e-10j * max(np.abs(rho).max(), 1.0); {ret}")
+
+
+def survives(item: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"survives every config; {item}")
+
+
+B_SIGN = (states, "quadrature_shape", ", sq.dA * np.sin(arg)", ", -sq.dA * np.sin(arg)")
+P_C_SIGN = (states, "center_state", ", -osc.mass * omega", ", osc.mass * omega")
+
+# (module, function, text, its replacement, (config, start of the check that must catch it))
+DEFECTS = [
+    pytest.param(*B_SIGN, ("squeezed_vacuum", "ode-residuals"), id="B-sign"),
+    pytest.param(*P_C_SIGN, ("displaced_squeezed", "schrodinger-residual"), id="p_c-sign"),
+    pytest.param(states, "accumulated_phase", "_center_phase(center, osc, t)",
+                 "_center_phase(center, osc, t) + 1e-5 * np.sin(2.0 * osc.angular_frequency * t)",
+                 ("ground_state", "ground-phase"), id="phase-plus-1e-5-sin-2wt"),
+    pytest.param(states, "_center_phase", "return osc.mass", "return (1.0 + 1e-5) * osc.mass",
+                 ("displaced_squeezed", "schrodinger-residual"), id="center-phase-times-1+1e-5",
+                 marks=survives("ROADMAP item 4 (a phase check against the propagated state): "
+                                "schrodinger-residual reads 5.5e-6 against its 1e-5 tolerance")),
+    pytest.param(mixing, "eval_mixed_density", "spec.purity_product)",
+                 "1.001 * spec.purity_product)", ("mixed_p4", "purity-law"), id="P-times-1.001"),
+    pytest.param(oracle, "_propagate_split_step", "drift = np.exp(-0.5j", "drift = np.exp(0.5j",
+                 ("ground_state", "exit 1 BoundaryError: boundary contamination"),
+                 id="split-step-drift-sign"),
+    pytest.param(oracle, "_fd3_hamiltonian", "_potential(grid, osc), -kin",
+                 "_potential(grid, osc), kin", ("ground_state", "propagation-fidelity"),
+                 id="cayley-off-diagonal-sign",
+                 marks=survives("no config runs implicit-unitary; ROADMAP item 5 (Numerov) "
+                                "lets item 4's config run it: 1-F 7.7e-4 -> 2.1e-8 at n=512")),
+    pytest.param(mixing, "_ensemble_sum", "R = _row_factor(spec, grid, t)",
+                 "R = np.ones(n, dtype=complex)",
+                 ("mixed_p4", "exit 3 InvariantError: density trace invariant violated"),
+                 id="dropped-row-factor"),
+    # on the diagonal |rho_ii - conj(rho_ii)| = 2 |Im rho_ii|, against 1e-10 * max(peak, 1)
+    pytest.param(*imaginary_diagonal(0.75),
+                 ("mixed_p4", "exit 3 InvariantError: density Hermiticity invariant violated"),
+                 id="imaginary-diagonal-0.75e-10"),
+]
+
+
+def test_every_config_passes_with_no_defect():
+    assert catches(CONFIGS, "no defect") == {name: [] for name in CONFIGS}
+
+
+@pytest.mark.parametrize("home, name, old, new, expected", DEFECTS)
+def test_a_check_catches_the_defect(monkeypatch, request, home, name, old, new, expected):
+    plant(monkeypatch, home, name, old, new)
+    found = catches(CONFIGS, request.node.callspec.id)
+    config, check = expected
+    assert any(c.startswith(check) for c, _ in found[config])
+
+
+def test_an_imaginary_diagonal_within_the_bound_passes(monkeypatch):
+    plant(monkeypatch, *imaginary_diagonal(0.4))
+    assert catches(CONFIGS, "imaginary-diagonal-0.4e-10") == {name: [] for name in CONFIGS}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: the ensemble members take the same shape and center "
+                          "laws as the closed form")
+@pytest.mark.parametrize("defect", [B_SIGN, P_C_SIGN], ids=["B-sign", "p_c-sign"])
+def test_a_mixed_check_catches_a_wrong_shape_or_center_law(monkeypatch, request, defect):
+    plant(monkeypatch, *defect)
+    found = catches(MIXED, f"mixed only, {request.node.callspec.id}")
+    assert any(found.values())

@@ -1045,6 +1045,10 @@ class TestCLI:
                  "does not resolve sample_times"),
                 (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
                  "wavefunction product requires a pure state"),
+                # P = 4 with no sigma_a: the squeeze is judged, not a mixed base nobody asked for
+                ({"name": "x", "squeeze": {"A0": 2.0}, "outputs": ["verify"]},
+                 "invariant violation: scenario 'x'.squeeze: P = 4.0, not 1 as a pure state "
+                 "needs; a mixed state is a pure squeeze with sigma_a > 0\n"),
                 # t/dt overflows to infinity
                 (dict(displaced, propagator={"dt": 1e-320}, sample_times=[0.0, 1.0]),
                  "more than 1048576"),
@@ -1258,6 +1262,37 @@ class TestImports:
                               capture_output=True, text=True, cwd=tmp_path, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(loaded)]
+
+
+class TestTracedMixedRun:
+    """perfbench's `--trace 1` on a mixed run binds ensemble_average_density's arguments by
+    name, and perfbench's own test traces only a pure run; so this one traces a mixed run."""
+
+    def test_instrument_traces_a_mixed_run_and_undo_restores_the_functions(self, tmp_path):
+        sys.path.insert(0, str(REPO / "perfbench"))
+        try:
+            import layers
+            import tracing
+        finally:
+            sys.path.remove(str(REPO / "perfbench"))
+        cfg = tmp_path / "mixed.json"
+        cfg.write_text(json.dumps(dict(FAST_MIXED, mc_check=True)))
+
+        def bindings():
+            return (cli.main, mixing.ensemble_average_density, scenario.ensemble_average_density,
+                    scenario.write_density_dump, states.DensityMatrixSample.__post_init__)
+        originals = bindings()
+        tracer = tracing.Tracer()
+        undo = layers.instrument(tracer)
+        try:
+            assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--quiet"]) == 0
+        finally:
+            undo()
+        assert bindings() == originals
+        m = layers.per_layer_metrics(tracer.spans)
+        assert m["mixing.ensemble_gh_members"] > 0
+        assert m["mixing.ensemble_mc_samples"] > 0
+        assert m["scenario.density_dump_bytes"] > 0
 
 
 class TestBundledScenarios:

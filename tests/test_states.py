@@ -222,6 +222,25 @@ class TestTypeInvariants:
         with pytest.raises(sx.InvariantError, match="Hermiticity"):
             sx.DensityMatrixSample(grid=grid, values=np.full((16, 16), np.nan, complex), time=0.0)
 
+    def test_density_diagonal_imaginary_part_is_judged_by_the_hermiticity_bound(self):
+        # on the diagonal |rho_ii - conj(rho_ii)| = 2 |Im rho_ii|, so the bound 1e-10 * max(peak, 1)
+        # rejects |Im rho_ii| above half of it; a negative real part has its own clause
+        spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
+        dm = sx.eval_pure_density(spec, sx.GridSpec.for_state(spec, n_points=64), 0.0)
+        unit = 1e-10 * max(float(np.abs(dm.values).max()), 1.0)
+        for im, ok in ((0.4 * unit, True), (0.75 * unit, False)):
+            values = dm.values.copy()
+            values[np.diag_indices(64)] += 1j * im
+            if ok:
+                sx.DensityMatrixSample(grid=dm.grid, values=values, time=0.0)
+            else:
+                with pytest.raises(sx.InvariantError, match="Hermiticity"):
+                    sx.DensityMatrixSample(grid=dm.grid, values=values, time=0.0)
+        values = dm.values.copy()
+        values[0, 0] = -1e-9
+        with pytest.raises(sx.InvariantError, match="density diagonal must be non-negative"):
+            sx.DensityMatrixSample(grid=dm.grid, values=values, time=0.0)
+
     @pytest.mark.parametrize("n", [16, 129, 300])
     def test_hermiticity_check_sees_every_row_tile(self, n):
         # each plant in turn carries the largest defect, so a tile, or a side of
@@ -648,17 +667,6 @@ class TestMoments:
             got = (m.mean_x, m.mean_p, m.var_x, m.var_p, m.cov_xp)
             assert [v.hex() for v in got] == [v.hex() for v in one_transform_moments(dm, OSC)]
             assert dm.values.tobytes() == before.tobytes()
-
-    def test_rejects_unnormalized_input(self):
-        spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
-        grid = sx.GridSpec.for_state(spec, n_points=256)
-        wf = sx.eval_pure_wavefunction(spec, grid, 0.0)
-        scaled = sx.WavefunctionSample.__new__(sx.WavefunctionSample)
-        object.__setattr__(scaled, "grid", grid)
-        object.__setattr__(scaled, "values", wf.values * 1.1)
-        object.__setattr__(scaled, "time", 0.0)
-        with pytest.raises(sx.InvariantError, match="normalized"):
-            sx.moments(scaled, OSC)
 
 
 # ---------------------------------------------------------------------------

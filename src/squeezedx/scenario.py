@@ -70,7 +70,7 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# Parse-time bounds, checked before anything is allocated.  One N x N complex density at
+# Bounds that Scenario checks before anything is allocated.  One N x N complex density at
 # 4096 points takes 256 MiB, and a timeseries row adds only tiles of states.TILE_VALUES to
 # it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
 # A mixed verify holds its probe densities, the ensemble sums and the guard's node-doubled
@@ -129,6 +129,14 @@ def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
     return v
 
 
+def _named(ctx: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; an InvariantError it raises is raised again, naming ``ctx``."""
+    try:
+        return build(*args, **kwargs)
+    except InvariantError as exc:
+        raise type(exc)(f"{ctx}: {exc}") from exc
+
+
 def _section(cls, obj, ctx: str):
     """Build the dataclass ``cls`` from a config section.
 
@@ -138,13 +146,19 @@ def _section(cls, obj, ctx: str):
     """
     keys = fields(cls)
     _check_keys(obj, {f.name for f in keys}, {f.name for f in keys if f.default is MISSING}, ctx)
-    return cls(**{f.name: (_integer if f.type == "int" else _number)(obj, f.name, ctx)
-                  for f in keys if f.name in obj})
+    return _named(ctx, cls, **{f.name: (_integer if f.type == "int" else _number)(obj, f.name, ctx)
+                               for f in keys if f.name in obj})
+
+
+def _momenta(spec: GaussianStateSpec, grid: GridSpec) -> tuple:
+    """The Nyquist momentum pi hbar/h of ``grid`` and the momentum support m omega R of ``spec``."""
+    m_omega = spec.osc.mass * spec.osc.angular_frequency
+    return math.pi * spec.osc.hbar / grid.spacing, m_omega * float(spec.support_radius())
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully validated scenario, ready to run."""
+    """A scenario whose every value rule holds, however it was built: ready to run."""
 
     name: str
     spec: GaussianStateSpec  # A0 and P include any classical spread
@@ -158,16 +172,50 @@ class Scenario:
     mc_check: bool
 
     def __post_init__(self):
-        # the phases the closed forms take; replace() re-checks them at new sample times
-        osc, sq, c = self.osc, self.spec.squeeze, self.spec.center
-        omega = osc.angular_frequency
+        ctx, spec, grid, times, dt = (f"scenario {self.name!r}", self.spec, self.grid,
+                                      self.sample_times, self.dt)
+        if not (self.is_mixed or spec.is_pure):
+            raise InvariantError(f"{ctx}.squeeze: P = {spec.purity_product!r}, not 1 as a pure "
+                                 "state needs; a mixed state is a pure squeeze with sigma_a > 0")
+        if grid.n_points > (bound := MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_GRID_POINTS):
+            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {bound}")
+        _named(f"{ctx}.grid", grid.require_coverage, spec)
+        _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt, 1)  # scheme and dt
+        if not times or any(b <= a for a, b in zip(times, times[1:])):
+            raise InvariantError(f"{ctx}: sample_times must be non-empty and strictly increasing")
+        if self.steps:  # the trajectory is stepped from t = 0 to step round(t/dt) of each time
+            if not times[-1] / dt <= MAX_STEPS:
+                raise InvariantError(f"{ctx}: propagator dt={dt!r} needs {times[-1] / dt:.3g} "
+                                     f"steps to reach t={times[-1]!r}, more than {MAX_STEPS}")
+            steps = [0] + [_step(t, dt) for t in times if t > 0]
+            if times[0] < 0 or any(b <= a for a, b in zip(steps, steps[1:])):
+                raise InvariantError(f"{ctx}: a trajectory stepped from t = 0 by dt={dt!r} does "
+                                     "not resolve sample_times: each time must be >= 0 and each "
+                                     "positive one land on its own step round(t/dt) >= 1")
+        if self.is_mixed and "wavefunction" in self.outputs:
+            raise InvariantError(f"{ctx}: wavefunction product requires a pure state (P = 1): "
+                                 f"P = {spec.purity_product!r}")
+        if not MIN_ENSEMBLE_NODES <= self.ensemble_nodes <= MAX_ENSEMBLE_NODES:
+            raise InvariantError(f"{ctx}: ensemble_nodes={self.ensemble_nodes} is outside "
+                                 f"{MIN_ENSEMBLE_NODES}..{MAX_ENSEMBLE_NODES}")
+        # the phases the closed forms take at the sample times
+        osc, sq, c, omega = self.osc, spec.squeeze, spec.center, self.osc.angular_frequency
         phases = [("m omega X_amp^2 / hbar", osc.mass * omega * c.X_amp * c.X_amp / osc.hbar)]
-        for t in self.sample_times:
+        for t in times:
             phases += [(f"2 omega t + phi_sq at t={t!r}", 2.0 * omega * t + sq.phi_sq),
                        (f"2 (omega t + phi_c) at t={t!r}", 2.0 * (omega * t + c.phi_c))]
         bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
         if bad:
-            raise InvariantError(f"scenario {self.name!r}: phase {bad[0]} is not finite")
+            raise InvariantError(f"{ctx}: phase {bad[0]} is not finite")
+        # momentum coverage, the dual of x coverage, after the phase rule (whose message wins)
+        nyquist, support = _momenta(spec, grid)
+        if not nyquist >= support:
+            need = 1.0 + (grid.x_max - grid.x_min) * support / (math.pi * osc.hbar)
+            raise InvariantError(
+                f"{ctx}: grid x_min={grid.x_min:.6g}, x_max={grid.x_max:.6g}, "
+                f"n_points={grid.n_points} resolves momenta up to pi hbar/h = {nyquist:.6g}, "
+                f"below the state's momentum support m omega (X_amp + {COVERAGE_SIGMAS:g} max std) "
+                f"= {support:.6g}; it needs n_points >= {need:.6g}")
 
     @property
     def osc(self) -> OscillatorConfig:
@@ -176,6 +224,11 @@ class Scenario:
     @property
     def is_mixed(self) -> bool:
         return self.mixed is not None
+
+    @property
+    def steps(self) -> bool:
+        """True iff the trajectory is stepped: a pure state whose timeseries or verify needs it."""
+        return not self.is_mixed and not {"timeseries", "verify"}.isdisjoint(self.outputs)
 
     @cached_property
     def fidelities(self) -> tuple:
@@ -201,11 +254,10 @@ def _step(t: float, dt: float) -> int:
 
 
 def _parse_scenario(obj: dict) -> Scenario:
-    ctx = "scenario"
-    _check_keys(obj, {"name", "oscillator", "squeeze", "center", "sigma_a", "grid",
-                      "propagator", "sample_times", "outputs", "ensemble_nodes",
-                      "mc_check"},
-                {"name", "squeeze", "outputs"}, ctx)
+    """Read a scenario's keys, types, list shapes and name; Scenario judges its values."""
+    _check_keys(obj, {"name", "oscillator", "squeeze", "center", "sigma_a", "grid", "propagator",
+                      "sample_times", "outputs", "ensemble_nodes", "mc_check"},
+                {"name", "squeeze", "outputs"}, "scenario")
 
     name = obj["name"]
     if not isinstance(name, str) or not _NAME_RE.match(name):
@@ -217,8 +269,8 @@ def _parse_scenario(obj: dict) -> Scenario:
     sq_obj = obj["squeeze"]
     if isinstance(sq_obj, dict) and "initial_variance_D" in sq_obj:
         _check_keys(sq_obj, {"initial_variance_D"}, {"initial_variance_D"}, f"{ctx}.squeeze")
-        squeeze = squeeze_from_initial_variance(
-            _number(sq_obj, "initial_variance_D", f"{ctx}.squeeze"), osc)
+        squeeze = _named(f"{ctx}.squeeze", squeeze_from_initial_variance,
+                         _number(sq_obj, "initial_variance_D", f"{ctx}.squeeze"), osc)
     else:
         squeeze = _section(SqueezeDynamics, sq_obj, f"{ctx}.squeeze")
 
@@ -227,33 +279,21 @@ def _parse_scenario(obj: dict) -> Scenario:
     sigma_a = _number(obj, "sigma_a", ctx, 0.0)
     spec, mixed = GaussianStateSpec(osc, squeeze, center), None
     if sigma_a:  # nonzero: MixedGaussianSpec rejects a negative one
-        mixed = MixedGaussianSpec(spec, sigma_a)
+        mixed = _named(f"{ctx}.sigma_a", MixedGaussianSpec, spec, sigma_a)
         try:
-            spec = reparameterize(mixed)
+            spec = _named(f"{ctx}.sigma_a", reparameterize, mixed)
         except OverflowError as exc:  # sigma_a**2 beyond the float range
             raise InvariantError(f"{ctx}: sigma_a={sigma_a!r} is out of range: {exc}") from exc
-    elif not squeeze.is_pure:
-        raise InvariantError(f"{ctx}.squeeze: P = {squeeze.purity_product!r}, not 1 as a pure "
-                             "state needs; a mixed state is a pure squeeze with sigma_a > 0")
-
-    # a grid's Nyquist momentum pi hbar/h must cover the momentum support m omega R, the dual of
-    # the x coverage radius R (which keeps h below the narrowest x std); an inf support fails it
-    def nyquist(g: GridSpec) -> float:
-        return math.pi * osc.hbar / g.spacing
-    support = osc.mass * osc.angular_frequency * float(spec.support_radius())
-    max_points = MAX_MIXED_GRID_POINTS if mixed else MAX_GRID_POINTS
 
     if "grid" not in obj:
-        # from 1024 (pure) or 256 (mixed) points up, the fewest that resolve the momenta, at
-        # most max_points; for_state checks the x coverage
-        g = GridSpec.for_state(spec, n_points=256 if mixed else 1024)
-        grid = replace(g, n_points=bisect_left(range(max_points), support, lo=g.n_points,
-                                               key=lambda n: nyquist(replace(g, n_points=n))))
+        # a 12 std margin; the fewest points from 1024 (pure) or 256 (mixed) that resolve momenta
+        r = spec.support_radius(12.0)
+        g = _named(f"{ctx}.grid", GridSpec, -r, r, 256 if mixed else 1024)
+        grid = replace(g, n_points=bisect_left(
+            range(MAX_MIXED_GRID_POINTS if mixed else MAX_GRID_POINTS), _momenta(spec, g)[1],
+            lo=g.n_points, key=lambda n: _momenta(spec, replace(g, n_points=n))[0]))
     else:
         grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
-        if grid.n_points > max_points:
-            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {max_points}")
-        grid.require_coverage(spec)
 
     p_obj = obj.get("propagator", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
@@ -261,31 +301,14 @@ def _parse_scenario(obj: dict) -> Scenario:
     if not isinstance(scheme, str):
         raise ParseError(f"{ctx}.propagator.scheme must be a string, got {scheme!r}")
     dt = _number(p_obj, "dt", f"{ctx}.propagator", osc.period / 8192.0)
-    PropagatorConfig(scheme=scheme, dt=dt, n_steps=1)  # validates scheme and dt
 
     if "sample_times" not in obj:
-        T = osc.period
-        times = tuple(k * T / 64.0 for k in range(64))
+        times = tuple(k * osc.period / 64.0 for k in range(64))
     else:
         times_obj = obj["sample_times"]
         if not isinstance(times_obj, list) or not times_obj:
             raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
         times = tuple(_finite(v, f"{ctx}.sample_times entry") for v in times_obj)
-        if times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise InvariantError(
-                f"{ctx}: sample_times invariant violated: times must be >= 0 and strictly increasing"
-            )
-    if not mixed:
-        # a pure state is propagated to step round(t/dt) for each sample time
-        if not times[-1] / dt <= MAX_STEPS:
-            raise InvariantError(f"{ctx}: propagator dt={dt!r} needs {times[-1] / dt:.3g} "
-                                 f"steps to reach t={times[-1]!r}, more than {MAX_STEPS}")
-        steps = [0] + [_step(t, dt) for t in times if t > 0]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise InvariantError(
-                f"{ctx}: propagator dt={dt!r} does not resolve sample_times: every positive "
-                "time must land on its own step round(t/dt) >= 1"
-            )
 
     outputs_obj = obj["outputs"]
     if not isinstance(outputs_obj, list) or not outputs_obj:
@@ -295,30 +318,15 @@ def _parse_scenario(obj: dict) -> Scenario:
             raise ParseError(f"{ctx}.outputs contains unknown product {p!r}; expected {PRODUCTS}")
         if outputs_obj.count(p) > 1:
             raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
-    if mixed and "wavefunction" in outputs_obj:
-        raise InvariantError(
-            f"{ctx}: wavefunction product requires a pure state (P = 1): P = {spec.purity_product!r}"
-        )
 
     ensemble_nodes = _integer(obj, "ensemble_nodes", ctx, 32)
-    if not MIN_ENSEMBLE_NODES <= ensemble_nodes <= MAX_ENSEMBLE_NODES:
-        raise InvariantError(f"{ctx}: ensemble_nodes={ensemble_nodes} is outside "
-                             f"{MIN_ENSEMBLE_NODES}..{MAX_ENSEMBLE_NODES}")
     mc_check = obj.get("mc_check", False)
     if not isinstance(mc_check, bool):
         raise ParseError(f"{ctx}.mc_check must be a boolean")
 
-    sc = Scenario(name=name, spec=spec, mixed=mixed, grid=grid, scheme=scheme, dt=dt,
-                  sample_times=times, outputs=tuple(outputs_obj),
-                  ensemble_nodes=ensemble_nodes, mc_check=mc_check)
-    if not nyquist(grid) >= support:  # after the phase checks: a config failing both gets theirs
-        need = 1.0 + (grid.x_max - grid.x_min) * support / (math.pi * osc.hbar)
-        raise InvariantError(
-            f"{ctx}: grid x_min={grid.x_min:.6g}, x_max={grid.x_max:.6g}, "
-            f"n_points={grid.n_points} resolves momenta up to pi hbar/h = {nyquist(grid):.6g}, "
-            f"below the state's momentum support m omega (X_amp + {COVERAGE_SIGMAS:g} max std) "
-            f"= {support:.6g}; it needs n_points >= {need:.6g}")
-    return sc
+    return Scenario(name=name, spec=spec, mixed=mixed, grid=grid, scheme=scheme, dt=dt,
+                    sample_times=times, outputs=tuple(outputs_obj),
+                    ensemble_nodes=ensemble_nodes, mc_check=mc_check)
 
 
 def parse_config(text: str) -> list:
@@ -590,7 +598,7 @@ def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
     time: two stepping loops in the pool would trade the GIL at every step."""
     _prepare_out_dir(scenarios, out_dir)
     for sc in scenarios:
-        if not sc.is_mixed and {"timeseries", "verify"} & set(sc.outputs):
+        if sc.steps:
             sc.fidelities  # fills the cache, so no worker steps
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
         return list(pool.map(lambda sc: run_scenario(sc, out_dir, seed), scenarios))

@@ -72,6 +72,36 @@ def complex_gemm_sum(spec, grid, t, dx0, dp0, weights):
     return rho
 
 
+def ensemble_members(ms, method, count):
+    """dx0, dp0, weights and log weights of ``count``**2 Gauss-Hermite nodes or ``count``
+    Monte Carlo samples."""
+    m_om = OSC.mass * OSC.angular_frequency
+    if method == "gauss-hermite":
+        xi, w = np.polynomial.hermite.hermgauss(count)
+        wt = w / np.sqrt(np.pi)
+        dx0, dp0 = np.meshgrid(np.sqrt(2.0) * ms.sigma_a * xi,
+                               np.sqrt(2.0) * m_om * ms.sigma_a * xi, indexing="ij")
+        log_wt = np.log(wt)
+        return dx0.ravel(), dp0.ravel(), np.outer(wt, wt).ravel(), np.add.outer(log_wt, log_wt).ravel()
+    rng = np.random.default_rng(count)
+    dx0 = rng.normal(0.0, ms.sigma_a, count)
+    dp0 = rng.normal(0.0, m_om * ms.sigma_a, count)
+    return dx0, dp0, 1.0 / count, -math.log(count)
+
+
+# The real rank-k sum and the complex GEMM sum each add their k blocks one after another, and
+# recursive summation of k terms errs by at most (k - 1) u sum |x_i| (Higham, "Accuracy and
+# Stability of Numerical Algorithms", 2nd ed., section 4.2): linear in k.  So the two sums
+# agree to 1e-14 of the peak up to RANK_K_BLOCKS blocks, where the largest difference in 30
+# draws was 5.0e-15 of the peak (2.3e-15 at 1,024 blocks), and to a bound in proportion to k
+# past it: 65,536 one-member blocks measured up to 1.03e-14.
+RANK_K_BLOCKS = 2**14
+
+
+def rank_k_bound(peak: float, blocks: int) -> float:
+    return 1e-14 * peak * max(1.0, blocks / RANK_K_BLOCKS)
+
+
 def member_columns(spec, grid, t, dx0, dp0, weights):
     """The members psi_m from mixing._member_block: each column C_m + i S_m times the
     shared row factor, divided by sqrt(w_m)."""
@@ -388,26 +418,28 @@ class TestEnsembleBlocks:
                                                           A0, phi_sq, X_ratio, phi_c, s_ratio, t):
         ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, phi_c=phi_c, sigma_a=s_ratio * SGR)
         grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=n)
-        m_om = OSC.mass * OSC.angular_frequency
-        if method == "gauss-hermite":
-            xi, w = np.polynomial.hermite.hermgauss(count)
-            wt = w / np.sqrt(np.pi)
-            dx0, dp0 = np.meshgrid(np.sqrt(2.0) * ms.sigma_a * xi,
-                                   np.sqrt(2.0) * m_om * ms.sigma_a * xi, indexing="ij")
-            dx0, dp0, weights = dx0.ravel(), dp0.ravel(), np.outer(wt, wt).ravel()
-            log_w = np.add.outer(np.log(wt), np.log(wt)).ravel()
-        else:
-            rng = np.random.default_rng(count)
-            dx0 = rng.normal(0.0, ms.sigma_a, count)
-            dp0 = rng.normal(0.0, m_om * ms.sigma_a, count)
-            weights = 1.0 / count
-            log_w = -math.log(count)
+        dx0, dp0, weights, log_w = ensemble_members(ms, method, count)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixing, "BLOCK_VALUES", block_values)
             rho = mixing._ensemble_sum(ms, grid, t, dx0, dp0, log_w)
             ref = complex_gemm_sum(ms, grid, t, dx0, dp0, weights)
-        assert np.abs(rho - ref).max() <= 1e-14 * np.abs(ref).max()
+        blocks = len(mixing._tiles(dx0.size, n, block_values))
+        assert np.abs(rho - ref).max() <= rank_k_bound(np.abs(ref).max(), blocks)
         assert np.array_equal(rho, rho.conj().T)
+
+    @pytest.mark.parametrize("defect", ["dropped-central-member", "flipped-im-sign"])
+    def test_the_rank_k_bound_at_its_loosest_fails_a_planted_defect(self, defect):
+        # 300**2 one-member blocks are the most the strategy above draws
+        ms = mixed(A0=1.5, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=64)
+        dx0, dp0, weights, log_w = ensemble_members(ms, "gauss-hermite", 17)
+        ref = complex_gemm_sum(ms, grid, 1.3, dx0, dp0, weights)
+        if defect == "dropped-central-member":  # node (8, 8) of 17 x 17
+            keep = np.arange(dx0.size) != dx0.size // 2
+            rho = mixing._ensemble_sum(ms, grid, 1.3, dx0[keep], dp0[keep], log_w[keep])
+        else:  # Im rho with its sign flipped
+            rho = mixing._ensemble_sum(ms, grid, 1.3, dx0, dp0, log_w).conj()
+        assert np.abs(rho - ref).max() > rank_k_bound(np.abs(ref).max(), 300**2)
 
     def test_monte_carlo_memory_is_bounded_by_the_block(self):
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)

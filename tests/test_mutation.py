@@ -5,12 +5,12 @@ data selection", IEEE Computer 1978). Each defect is one monkeypatch of one
 function: its source with one piece of text replaced, recompiled in its
 module. ``states``, ``mixing`` and ``scenario`` import names from each other,
 so a defect replaces the function at every module binding. Every defect is
-verified against the same five configs: the three bundled scenarios, the
-displaced pure config of ROADMAP item 4 and the displaced mixed config of
-item 2.
+verified against the same six configs: the three bundled scenarios, the
+displaced pure config of ROADMAP item 4, the displaced mixed config of item 2
+and a zero-center squeezed state on the implicit scheme (item 6).
 
 A defect is caught when one config prints a FAIL line or stops with an error.
-Exit 3 (an ``InvariantError``) means a sample constructor or a parse rule
+Exit 3 (an ``InvariantError``) means a sample constructor or a scenario rule
 judged it; exit 1 (another ``SqueezedXError``) means a propagator guard did.
 Normalization defects are the constructors' too: ``TestPlantedNormDefects``
 in test_scenario_cli.py plants them. A defect that survives today is an
@@ -51,6 +51,11 @@ CONFIGS["displaced_squeezed_mixed"] = {
     "name": "displaced_squeezed_mixed", "squeeze": {"A0": 1.5, "dA": 1.25 ** 0.5, "phi_sq": 0.4},
     "center": {"X_amp": 1.0, "phi_c": 0.3}, "sigma_a": 0.6,
     "sample_times": [k * 2.0 * np.pi / 8.0 for k in range(8)], "outputs": ["verify"]}
+# ROADMAP item 6: the one config on implicit-unitary; zero center keeps it clear of the FD3 floor
+CONFIGS["implicit_squeezed"] = {
+    "name": "implicit_squeezed", "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.7},
+    "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 1024},
+    "propagator": {"scheme": "implicit-unitary"}, "outputs": ["verify"]}
 MIXED = ("mixed_p4", "displaced_squeezed_mixed")
 
 FAIL_LINE = re.compile(r"^\[\S+\] (\S+): FAIL \(.+, margin (\S+)\)$")
@@ -123,10 +128,9 @@ DEFECTS = [
                  ("ground_state", "exit 1 BoundaryError: boundary contamination"),
                  id="split-step-drift-sign"),
     pytest.param(oracle, "_fd3_hamiltonian", "_potential(grid, osc), -kin",
-                 "_potential(grid, osc), kin", ("ground_state", "propagation-fidelity"),
-                 id="cayley-off-diagonal-sign",
-                 marks=survives("no config runs implicit-unitary; ROADMAP item 5 (Numerov) "
-                                "lets item 4's config run it: 1-F 7.7e-4 -> 2.1e-8 at n=512")),
+                 "_potential(grid, osc), kin",
+                 ("implicit_squeezed", "exit 1 BoundaryError: boundary contamination"),
+                 id="cayley-off-diagonal-sign"),
     pytest.param(mixing, "_ensemble_sum", "R = _row_factor(spec, grid, t)",
                  "R = np.ones(n, dtype=complex)",
                  ("mixed_p4", "exit 3 InvariantError: density trace invariant violated"),

@@ -358,6 +358,89 @@ class TestMomentumCoverage:
         assert not built
 
 
+class TestScenarioRules:
+    """Scenario judges its own values however it is built: parsed, replace()d or constructed."""
+
+    @pytest.mark.parametrize("change, message", [
+        # round(1e-9/dt) = 0: verify would compare psi(0) with itself and print PASS
+        ({"sample_times": (0.0, 1e-9)},
+         "scenario 'ground_state': a trajectory stepped from t = 0 by dt=0.0030679615757712823 "
+         "does not resolve sample_times"),
+        ({"dt": 1e-12}, "scenario 'ground_state': propagator dt=1e-12 needs 5.89e+12 steps"),
+        ({"grid": sx.GridSpec(-9.0, 9.0, 65536)},
+         "scenario 'ground_state'.grid: n_points=65536 exceeds 4096"),
+        ({"ensemble_nodes": 10**6},
+         "scenario 'ground_state': ensemble_nodes=1000000 is outside 16..128"),
+        # pi hbar/h = 3.32 against the momentum support 5.66
+        ({"grid": sx.GridSpec(-9.0, 9.0, 20)},
+         "scenario 'ground_state': grid x_min=-9, x_max=9, n_points=20 resolves momenta up to"),
+    ], ids=["zero-steps", "max-steps", "max-grid-points", "ensemble-nodes", "nyquist"])
+    def test_a_replaced_scenario_is_refused_before_anything_is_allocated(self, change, message):
+        sc = parse_config((SCENARIOS / "ground_state.json").read_text())[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(sx.InvariantError) as caught:
+                dataclasses.replace(sc, **change)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value).startswith(message)
+        assert peak < 2**16  # one wavefunction on the 65,536-point grid takes 1 MiB
+
+    @pytest.mark.parametrize("config", [FAST_PURE, FAST_MIXED], ids=["pure", "mixed"])
+    def test_a_scenario_built_with_no_sample_times_is_refused(self, config):
+        sc = parse_one(config)
+        values = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc)}
+        with pytest.raises(sx.InvariantError, match=rf"^scenario '{sc.name}': sample_times must "
+                                                    "be non-empty and strictly increasing$"):
+            scenario.Scenario(**dict(values, sample_times=()))
+
+    @pytest.mark.parametrize("config, outputs, steps", [
+        (FAST_PURE, ["timeseries"], True),
+        (FAST_PURE, ["verify"], True),
+        (FAST_PURE, ["wavefunction", "density"], False),
+        (FAST_MIXED, ["timeseries", "verify"], False),
+    ], ids=["pure-timeseries", "pure-verify", "pure-dumps", "mixed"])
+    def test_run_scenarios_steps_a_scenario_iff_its_steps_holds(
+            self, tmp_path, monkeypatch, config, outputs, steps):
+        sc = parse_one(dict(config, outputs=outputs))
+        assert sc.steps is steps
+        stepped = []
+        real = scenario.propagate
+        monkeypatch.setattr(scenario, "propagate",
+                            lambda psi, osc, cfg: stepped.append(cfg) or real(psi, osc, cfg))
+        scenario.run_scenarios([sc], tmp_path)
+        assert bool(stepped) is steps
+
+    def test_the_step_rules_wait_for_a_scenario_that_steps(self, tmp_path, monkeypatch):
+        # dt = 1e-12 would take 5.5e12 steps, but a wavefunction dump takes none
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_PURE, propagator={"dt": 1e-12},
+                                       outputs=["wavefunction"])))
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [
+            "fast_pure_wavefunction_t5.49779.csv"]
+        # verify steps the trajectory
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "v"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("config, code", [
+        (FAST_MIXED, 0),
+        (dict(FAST_PURE, outputs=["density"]), 0),
+        (FAST_PURE, 3),
+    ], ids=["mixed", "pure-density", "pure-stepped"])
+    def test_only_a_stepped_trajectory_needs_non_negative_times(
+            self, tmp_path, capsys, config, code):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(config, sample_times=[-0.7, 0.0, 1.9])))
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "each time must be >= 0" in err
+        else:
+            assert err == ""
+            assert any((tmp_path / "o").iterdir())
+
+
 def _leaf_paths(obj, prefix=()):
     """Key/index paths to every number, integer, boolean and list in a config."""
     if isinstance(obj, dict):
@@ -853,6 +936,76 @@ class TestDumps:
         assert abs(norm - 1.0) <= 1e-8
 
 
+# Configs that exit 3, each with a part of its message.
+DISPLACED = {"name": "d", "squeeze": {"initial_variance_D": 1.0}, "center": {"X_amp": 1.0},
+             "outputs": ["timeseries", "verify"]}
+INVARIANT_VIOLATIONS = (
+    ({"name": "m", "squeeze": {"A0": 0.5, "dA": 0.75}, "outputs": ["verify"]}, "A0 > dA"),
+    # 3 rounds to step 0: the trajectory would compare psi(0) with psi(0)
+    (dict(DISPLACED, propagator={"dt": 10.0}, sample_times=[0.0, 3.0]),
+     "does not resolve sample_times"),
+    # 1.2 and 1.4 both round to step 1
+    (dict(DISPLACED, propagator={"dt": 1.0}, sample_times=[0.0, 1.2, 1.4]),
+     "does not resolve sample_times"),
+    (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
+     "wavefunction product requires a pure state"),
+    # P = 4 with no sigma_a: the squeeze is judged, not a mixed base nobody asked for
+    ({"name": "x", "squeeze": {"A0": 2.0}, "outputs": ["verify"]},
+     "invariant violation: scenario 'x'.squeeze: P = 4.0, not 1 as a pure state "
+     "needs; a mixed state is a pure squeeze with sigma_a > 0\n"),
+    # t/dt overflows to infinity
+    (dict(DISPLACED, propagator={"dt": 1e-320}, sample_times=[0.0, 1.0]),
+     "more than 1048576"),
+    # 1e12 steps
+    (dict(DISPLACED, propagator={"dt": 1e-12}, sample_times=[0.0, 1.0]),
+     "more than 1048576"),
+    # one 4097 x 4097 complex density would take 256 MiB
+    (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 4097}),
+     "n_points=4097 exceeds 4096"),
+    # Gauss-Hermite nodes per axis must lie in 16..128
+    (dict(FAST_MIXED, ensemble_nodes=8), "ensemble_nodes=8 is outside 16..128"),
+    (dict(FAST_MIXED, ensemble_nodes=129), "ensemble_nodes=129 is outside 16..128"),
+    (dict(FAST_MIXED, ensemble_nodes=10**30),
+     f"ensemble_nodes={10**30} is outside 16..128"),
+    (dict(FAST_PURE, propagator={"scheme": "foo"}), "unknown propagation scheme 'foo'"),
+    # hbar**2 or omega**2 leaves the float range: each was an OverflowError at run time
+    ({"name": "a", "oscillator": {"hbar": 1e300, "mass": 1e300,
+                                  "angular_frequency": 1.85},
+      "squeeze": {"initial_variance_D": 0.3}, "sigma_a": 0.3, "sample_times": [0.0],
+      "outputs": ["timeseries"]}, "oscillator constants need"),
+    ({"name": "b", "oscillator": {"mass": 1.3, "angular_frequency": 1e300,
+                                  "hbar": 1e300},
+      "squeeze": {"initial_variance_D": 1.3}, "center": {"X_amp": 0.3},
+      "sample_times": [0.0], "outputs": ["wavefunction"]},
+     "oscillator constants need"),
+    ({"name": "c", "oscillator": {"hbar": 1e300, "mass": 1.78,
+                                  "angular_frequency": 2.41},
+      "squeeze": {"initial_variance_D": 1e300}, "center": {"X_amp": 0.3},
+      "propagator": {"scheme": "implicit-unitary", "dt": 1.5},
+      "sample_times": [2.7155266295336338], "outputs": ["verify"]},
+     "oscillator constants need"),
+    # X_amp**2 overflowed in the center phase
+    (dict(DISPLACED, center={"X_amp": 1e300},
+          grid={"x_min": -1e300, "x_max": 1e300, "n_points": 64}),
+     "phase m omega X_amp^2 / hbar = inf is not finite"),
+    # x_max - x_min overflows
+    (dict(FAST_MIXED, grid={"x_min": -1.7e308, "x_max": 1.7e308, "n_points": 64}),
+     "with a finite width x_max - x_min violated"),
+    # the constructor of each part names the section it was read from
+    ({"name": "w", "squeeze": {"A0": 2.0}, "sigma_a": 0.5, "outputs": ["verify"]},
+     "scenario 'w'.sigma_a: mixed-state base requires a pure state (P = 1): P = 4.0"),
+    ({"name": "w", "squeeze": {"A0": 1.0}, "sigma_a": -0.1, "outputs": ["verify"]},
+     "scenario 'w'.sigma_a: mixing invariant sigma_a >= 0 violated"),
+    (dict(FAST_PURE, squeeze={"initial_variance_D": -1.0}),
+     "scenario 'fast_pure'.squeeze: initial variance must be a positive"),
+    (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 8}),
+     "scenario 'fast_pure'.grid: grid invariant n_points >= 16 violated"),
+    (dict(FAST_PURE, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 64}),
+     "scenario 'fast_pure'.grid: grid coverage invariant violated"),
+    (dict(FAST_PURE, sample_times=[0.0, 1.0, 0.5]), "strictly increasing"),
+)
+
+
 class TestCLI:
     def run_cli(self, *args):
         return cli.main([str(a) for a in args])
@@ -1034,63 +1187,19 @@ class TestCLI:
         assert self.run_cli("run", cfg, "--out-dir", tmp_path) == 3
         assert "A0 > dA" in capsys.readouterr().err
         out = tmp_path / "out"
-        displaced = {"name": "d", "squeeze": {"initial_variance_D": 1.0},
-                     "center": {"X_amp": 1.0}, "outputs": ["timeseries", "verify"]}
-        for bad, message in (
-                # 3 rounds to step 0: the trajectory would compare psi(0) with psi(0)
-                (dict(displaced, propagator={"dt": 10.0}, sample_times=[0.0, 3.0]),
-                 "does not resolve sample_times"),
-                # 1.2 and 1.4 both round to step 1
-                (dict(displaced, propagator={"dt": 1.0}, sample_times=[0.0, 1.2, 1.4]),
-                 "does not resolve sample_times"),
-                (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
-                 "wavefunction product requires a pure state"),
-                # P = 4 with no sigma_a: the squeeze is judged, not a mixed base nobody asked for
-                ({"name": "x", "squeeze": {"A0": 2.0}, "outputs": ["verify"]},
-                 "invariant violation: scenario 'x'.squeeze: P = 4.0, not 1 as a pure state "
-                 "needs; a mixed state is a pure squeeze with sigma_a > 0\n"),
-                # t/dt overflows to infinity
-                (dict(displaced, propagator={"dt": 1e-320}, sample_times=[0.0, 1.0]),
-                 "more than 1048576"),
-                # 1e12 steps
-                (dict(displaced, propagator={"dt": 1e-12}, sample_times=[0.0, 1.0]),
-                 "more than 1048576"),
-                # one 4097 x 4097 complex density would take 256 MiB
-                (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 4097}),
-                 "n_points=4097 exceeds 4096"),
-                # Gauss-Hermite nodes per axis must lie in 16..128
-                (dict(FAST_MIXED, ensemble_nodes=8), "ensemble_nodes=8 is outside 16..128"),
-                (dict(FAST_MIXED, ensemble_nodes=129), "ensemble_nodes=129 is outside 16..128"),
-                (dict(FAST_MIXED, ensemble_nodes=10**30),
-                 f"ensemble_nodes={10**30} is outside 16..128"),
-                (dict(FAST_PURE, propagator={"scheme": "foo"}), "unknown propagation scheme 'foo'"),
-                # hbar**2 or omega**2 leaves the float range: each was an OverflowError at run time
-                ({"name": "a", "oscillator": {"hbar": 1e300, "mass": 1e300,
-                                              "angular_frequency": 1.85},
-                  "squeeze": {"initial_variance_D": 0.3}, "sigma_a": 0.3, "sample_times": [0.0],
-                  "outputs": ["timeseries"]}, "oscillator constants need"),
-                ({"name": "b", "oscillator": {"mass": 1.3, "angular_frequency": 1e300,
-                                              "hbar": 1e300},
-                  "squeeze": {"initial_variance_D": 1.3}, "center": {"X_amp": 0.3},
-                  "sample_times": [0.0], "outputs": ["wavefunction"]},
-                 "oscillator constants need"),
-                ({"name": "c", "oscillator": {"hbar": 1e300, "mass": 1.78,
-                                              "angular_frequency": 2.41},
-                  "squeeze": {"initial_variance_D": 1e300}, "center": {"X_amp": 0.3},
-                  "propagator": {"scheme": "implicit-unitary", "dt": 1.5},
-                  "sample_times": [2.7155266295336338], "outputs": ["verify"]},
-                 "oscillator constants need"),
-                # X_amp**2 overflowed in the center phase
-                (dict(displaced, center={"X_amp": 1e300},
-                      grid={"x_min": -1e300, "x_max": 1e300, "n_points": 64}),
-                 "phase m omega X_amp^2 / hbar = inf is not finite"),
-                # x_max - x_min overflows
-                (dict(FAST_MIXED, grid={"x_min": -1.7e308, "x_max": 1.7e308, "n_points": 64}),
-                 "with a finite width x_max - x_min violated")):
+        for bad, message in INVARIANT_VIOLATIONS:
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 3
             assert message in capsys.readouterr().err
             assert not list(out.glob("*"))
+
+    def test_every_invariant_violation_names_its_scenario(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        for bad, _ in INVARIANT_VIOLATIONS:
+            cfg.write_text(json.dumps(bad))
+            assert self.run_cli("run", cfg, "--out-dir", tmp_path / "out") == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("invariant violation: scenario '"), lines
 
     @pytest.mark.parametrize("config, argv", [
         (dict(FAST_MIXED, sample_times=[0, 1e308]), ["run"]),

@@ -11,9 +11,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -31,7 +30,6 @@ from .mixing import (
 )
 from .oracle import PropagatorConfig, fidelity, propagate, purity
 from .states import (
-    COVERAGE_SIGMAS,
     CenterTrajectory,
     DensityMatrixSample,
     GaussianStateSpec,
@@ -150,12 +148,6 @@ def _section(cls, obj, ctx: str):
                                for f in keys if f.name in obj})
 
 
-def _momenta(spec: GaussianStateSpec, grid: GridSpec) -> tuple:
-    """The Nyquist momentum pi hbar/h of ``grid`` and the momentum support m omega R of ``spec``."""
-    m_omega = spec.osc.mass * spec.osc.angular_frequency
-    return math.pi * spec.osc.hbar / grid.spacing, m_omega * float(spec.support_radius())
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A scenario whose every value rule holds, however it was built: ready to run."""
@@ -179,7 +171,6 @@ class Scenario:
                                  "state needs; a mixed state is a pure squeeze with sigma_a > 0")
         if grid.n_points > (bound := MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_GRID_POINTS):
             raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {bound}")
-        _named(f"{ctx}.grid", grid.require_coverage, spec)
         _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt, 1)  # scheme and dt
         if not times or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(f"{ctx}: sample_times must be non-empty and strictly increasing")
@@ -192,6 +183,8 @@ class Scenario:
                 raise InvariantError(f"{ctx}: a trajectory stepped from t = 0 by dt={dt!r} does "
                                      "not resolve sample_times: each time must be >= 0 and each "
                                      "positive one land on its own step round(t/dt) >= 1")
+            if not times[-1] > 0:  # else propagation-fidelity compares psi(0) with itself
+                raise InvariantError(f"{ctx}: a stepped trajectory needs a positive sample time")
         if self.is_mixed and "wavefunction" in self.outputs:
             raise InvariantError(f"{ctx}: wavefunction product requires a pure state (P = 1): "
                                  f"P = {spec.purity_product!r}")
@@ -207,15 +200,7 @@ class Scenario:
         bad = [f"{what} = {value}" for what, value in phases if not math.isfinite(value)]
         if bad:
             raise InvariantError(f"{ctx}: phase {bad[0]} is not finite")
-        # momentum coverage, the dual of x coverage, after the phase rule (whose message wins)
-        nyquist, support = _momenta(spec, grid)
-        if not nyquist >= support:
-            need = 1.0 + (grid.x_max - grid.x_min) * support / (math.pi * osc.hbar)
-            raise InvariantError(
-                f"{ctx}: grid x_min={grid.x_min:.6g}, x_max={grid.x_max:.6g}, "
-                f"n_points={grid.n_points} resolves momenta up to pi hbar/h = {nyquist:.6g}, "
-                f"below the state's momentum support m omega (X_amp + {COVERAGE_SIGMAS:g} max std) "
-                f"= {support:.6g}; it needs n_points >= {need:.6g}")
+        _named(f"{ctx}.grid", grid.require_coverage, spec)  # after the phase rule, which wins
 
     @property
     def osc(self) -> OscillatorConfig:
@@ -286,12 +271,7 @@ def _parse_scenario(obj: dict) -> Scenario:
             raise InvariantError(f"{ctx}: sigma_a={sigma_a!r} is out of range: {exc}") from exc
 
     if "grid" not in obj:
-        # a 12 std margin; the fewest points from 1024 (pure) or 256 (mixed) that resolve momenta
-        r = spec.support_radius(12.0)
-        g = _named(f"{ctx}.grid", GridSpec, -r, r, 256 if mixed else 1024)
-        grid = replace(g, n_points=bisect_left(
-            range(MAX_MIXED_GRID_POINTS if mixed else MAX_GRID_POINTS), _momenta(spec, g)[1],
-            lo=g.n_points, key=lambda n: _momenta(spec, replace(g, n_points=n))[0]))
+        grid = _named(f"{ctx}.grid", GridSpec.for_state, spec, 256 if mixed else 1024)
     else:
         grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
 

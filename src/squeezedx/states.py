@@ -23,7 +23,9 @@ types; nothing mutates shared state.
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass, field
+import sys
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -182,16 +184,18 @@ class GridSpec:
     @classmethod
     def for_state(cls, spec: GaussianStateSpec, n_points: int = 1024,
                   margin: float = 12.0) -> "GridSpec":
-        """Symmetric grid covering ``spec`` with ``margin`` std-dev headroom.
+        """Symmetric grid with ``margin`` std-dev headroom and the fewest points from ``n_points``
+        up that resolve the momenta of ``spec``, or ``n_points`` if none below sys.maxsize does.
 
         The default margin of 12 keeps edge amplitudes below 1e-12 so the
         grid is usable for propagation, comfortably past the hard coverage
-        minimum of COVERAGE_SIGMAS.
+        minimum of COVERAGE_SIGMAS.  ``require_coverage`` judges the grid where it is used.
         """
         radius = spec.support_radius(margin)
         grid = cls(-radius, radius, n_points)
-        grid.require_coverage(spec)
-        return grid
+        n = bisect_left(range(sys.maxsize), grid._momenta(spec)[1], lo=n_points,
+                        key=lambda k: replace(grid, n_points=k)._momenta(spec)[0])
+        return grid if n == sys.maxsize else replace(grid, n_points=n)
 
     @property
     def spacing(self) -> float:
@@ -210,7 +214,13 @@ class GridSpec:
         """FFT wavenumbers for the periodic extension of period n*h."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
+    def _momenta(self, spec: GaussianStateSpec) -> tuple:
+        """Nyquist momentum pi hbar/h of this grid, and momentum support m omega R of ``spec``."""
+        m_omega = spec.osc.mass * spec.osc.angular_frequency
+        return np.pi * spec.osc.hbar / self.spacing, m_omega * float(spec.support_radius())
+
     def require_coverage(self, spec: GaussianStateSpec) -> None:
+        """Refuse a grid short of the support radius R, or whose pi hbar/h is below m omega R."""
         radius = spec.support_radius()
         if not (-self.x_min >= radius and self.x_max >= radius):
             raise CoverageError(
@@ -218,6 +228,14 @@ class GridSpec:
                 f"X_amp + {COVERAGE_SIGMAS:g}*max std = {radius:.6g}, "
                 f"got [{self.x_min:.6g}, {self.x_max:.6g}]"
             )
+        nyquist, support = self._momenta(spec)
+        if not nyquist >= support:
+            need = 1.0 + (self.x_max - self.x_min) * support / (np.pi * spec.osc.hbar)
+            raise CoverageError(
+                f"grid x_min={self.x_min:.6g}, x_max={self.x_max:.6g}, "
+                f"n_points={self.n_points} resolves momenta up to pi hbar/h = {nyquist:.6g}, "
+                f"below the state's momentum support m omega (X_amp + {COVERAGE_SIGMAS:g} max std) "
+                f"= {support:.6g}; it needs n_points >= {need:.6g}")
 
 
 def _trapz(values: np.ndarray, grid: GridSpec):

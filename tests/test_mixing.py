@@ -339,13 +339,14 @@ class TestEnsembleAverage:
 
 
 class TestMemberColumns:
-    @pytest.mark.parametrize("A0, phi_sq, X_ratio", [
-        (1.5, 0.0, 1.0), (1.5, np.pi, 20.0), (5.0, np.pi - 0.01, 30.0)])
-    def test_columns_are_the_members(self, A0, phi_sq, X_ratio):
+    # the last mixed state's momenta need 1252 points, and its farthest member's 1268
+    @pytest.mark.parametrize("A0, phi_sq, X_ratio, n_points", [
+        (1.5, 0.0, 1.0, 512), (1.5, np.pi, 20.0, 512), (5.0, np.pi - 0.01, 30.0, 1280)])
+    def test_columns_are_the_members(self, A0, phi_sq, X_ratio, n_points):
         # each column is the pure state whose center starts at the member's
         # initial center, up to a phase: compare the projectors
         ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, sigma_a=SGR)
-        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=512)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=n_points)
         m_om = OSC.mass * OSC.angular_frequency
         rng = np.random.default_rng(41)
         dx0 = rng.normal(0.0, ms.sigma_a, 40)
@@ -417,7 +418,9 @@ class TestEnsembleBlocks:
     def test_real_rank_k_sum_equals_the_complex_gemm_sum(self, n, method, count, block_values,
                                                           A0, phi_sq, X_ratio, phi_c, s_ratio, t):
         ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, phi_c=phi_c, sigma_a=s_ratio * SGR)
-        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=n)
+        # the sums take any grid: n points across the 12-std span, resolved or not
+        r = sx.reparameterize(ms).support_radius(12.0)
+        grid = sx.GridSpec(-r, r, n)
         dx0, dp0, weights, log_w = ensemble_members(ms, method, count)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mixing, "BLOCK_VALUES", block_values)
@@ -431,7 +434,8 @@ class TestEnsembleBlocks:
     def test_the_rank_k_bound_at_its_loosest_fails_a_planted_defect(self, defect):
         # 300**2 one-member blocks are the most the strategy above draws
         ms = mixed(A0=1.5, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
-        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=64)
+        r = sx.reparameterize(ms).support_radius(12.0)
+        grid = sx.GridSpec(-r, r, 64)
         dx0, dp0, weights, log_w = ensemble_members(ms, "gauss-hermite", 17)
         ref = complex_gemm_sum(ms, grid, 1.3, dx0, dp0, weights)
         if defect == "dropped-central-member":  # node (8, 8) of 17 x 17

@@ -5,9 +5,11 @@ data selection", IEEE Computer 1978). Each defect is one monkeypatch of one
 function: its source with one piece of text replaced, recompiled in its
 module. ``states``, ``mixing`` and ``scenario`` import names from each other,
 so a defect replaces the function at every module binding. Every defect is
-verified against the same six configs: the three bundled scenarios, the
-displaced pure config of ROADMAP item 4, the displaced mixed config of item 2
-and a zero-center squeezed state on the implicit scheme (item 6).
+verified against the same eight configs: the three bundled scenarios, the
+displaced pure config of ROADMAP item 4, the displaced mixed config of item 2,
+a zero-center squeezed state on the implicit scheme (item 6), and a displaced
+pure and a displaced mixed config with m = 2, omega = 1.5 and hbar = 0.7
+(item 13), where a formula that drops m, omega or hbar is no longer invisible.
 
 A defect is caught when one config prints a FAIL line or stops with an error.
 Exit 3 (an ``InvariantError``) means a sample constructor or a scenario rule
@@ -56,6 +58,18 @@ CONFIGS["implicit_squeezed"] = {
     "name": "implicit_squeezed", "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.7},
     "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 1024},
     "propagator": {"scheme": "implicit-unitary"}, "outputs": ["verify"]}
+# ROADMAP item 13: the displaced configs above in non-unit constants, centers and spread in
+# units of sigma_gr = 0.342; the pure one on 512 points across +-(X_amp + 12 max std)
+NONUNIT = {"mass": 2.0, "angular_frequency": 1.5, "hbar": 0.7}
+CONFIGS["nonunit_displaced"] = {
+    "name": "nonunit_displaced", "oscillator": NONUNIT,
+    "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.7}, "center": {"X_amp": 0.7, "phi_c": 0.3},
+    "grid": {"x_min": -6.5, "x_max": 6.5, "n_points": 512}, "outputs": ["verify"]}
+CONFIGS["nonunit_displaced_mixed"] = {
+    "name": "nonunit_displaced_mixed", "oscillator": NONUNIT,
+    "squeeze": {"A0": 1.5, "dA": 1.25 ** 0.5, "phi_sq": 0.4},
+    "center": {"X_amp": 0.35, "phi_c": 0.3}, "sigma_a": 0.2,
+    "sample_times": [k * 2.0 * np.pi / 1.5 / 8.0 for k in range(8)], "outputs": ["verify"]}
 MIXED = ("mixed_p4", "displaced_squeezed_mixed")
 
 FAIL_LINE = re.compile(r"^\[\S+\] (\S+): FAIL \(.+, margin (\S+)\)$")
@@ -110,6 +124,7 @@ def survives(item: str):
 
 B_SIGN = (states, "quadrature_shape", ", sq.dA * np.sin(arg)", ", -sq.dA * np.sin(arg)")
 P_C_SIGN = (states, "center_state", ", -osc.mass * omega", ", osc.mass * omega")
+P_C_WITHOUT_M = (states, "center_state", ", -osc.mass * omega", ", -omega")
 
 # (module, function, text, its replacement, (config, start of the check that must catch it))
 DEFECTS = [
@@ -139,6 +154,13 @@ DEFECTS = [
     pytest.param(*imaginary_diagonal(0.75),
                  ("mixed_p4", "exit 3 InvariantError: density Hermiticity invariant violated"),
                  id="imaginary-diagonal-0.75e-10"),
+    # schrodinger-residual reads 0.53 and propagation-fidelity 0.30
+    pytest.param(*P_C_WITHOUT_M, ("nonunit_displaced", "schrodinger-residual"),
+                 id="p_c-without-m"),
+    # ensemble-agreement reads 0.19
+    pytest.param(mixing, "_gauss_hermite_density", "scale_p = np.sqrt(2.0) * m_om * ",
+                 "scale_p = np.sqrt(2.0) * ", ("nonunit_displaced_mixed", "ensemble-agreement"),
+                 id="scale_p-without-m-omega"),
 ]
 
 
@@ -167,3 +189,11 @@ def test_a_mixed_check_catches_a_wrong_shape_or_center_law(monkeypatch, request,
     plant(monkeypatch, *defect)
     found = catches(MIXED, f"mixed only, {request.node.callspec.id}")
     assert any(found.values())
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12 (evolution in the eigenbasis): the ensemble members "
+                          "take p_c from the same center_state as the closed form")
+def test_a_mixed_check_catches_p_c_without_m(monkeypatch):
+    plant(monkeypatch, *P_C_WITHOUT_M)
+    assert any(catches(["nonunit_displaced_mixed"], "mixed only, p_c-without-m").values())

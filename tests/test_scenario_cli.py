@@ -152,6 +152,9 @@ def test_modules_list_their_public_names(module):
     assert defined <= set(mod.__all__)
 
 
+ALIASING = r"^scenario 'm'\.grid: grid x_min=.* resolves momenta up to pi hbar/h = "
+
+
 class TestParsing:
     def test_minimal_scenario(self):
         sc = parse_one({"name": "m", "squeeze": {"A0": 1.0}, "outputs": ["verify"]})
@@ -221,21 +224,36 @@ class TestParsing:
         with pytest.raises(sx.CoverageError):
             parse_one(bad)
 
-    @pytest.mark.parametrize("config", [
-        {"squeeze": {"A0": 1.0}},
-        {"squeeze": {"A0": 1.0}, "sigma_a": 0.5},
-        {"squeeze": {"A0": 1.0}, "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}},
-        {"squeeze": {"A0": 1.0}, "sigma_a": 0.5,
-         "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}},
-    ], ids=["automatic-pure", "automatic-mixed", "given-pure", "given-mixed"])
-    def test_x_coverage_is_checked_once_per_grid(self, monkeypatch, config):
+    @pytest.mark.parametrize("config, judged, error, message", [
+        ({"squeeze": {"A0": 1.0}}, 1, None, None),
+        ({"squeeze": {"A0": 1.0}, "sigma_a": 0.5}, 1, None, None),
+        ({"squeeze": {"A0": 1.0}, "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}},
+         1, None, None),
+        ({"squeeze": {"A0": 1.0}, "sigma_a": 0.5,
+          "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 256}}, 1, None, None),
+        # pi hbar/h = 4.71 against the momentum support 5.66
+        ({"squeeze": {"A0": 1.0}, "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 37}},
+         1, sx.CoverageError, ALIASING),
+        # about 6e19 points would resolve the momenta, past any count: the grid keeps its 1024
+        ({"squeeze": {"A0": 1.0}, "center": {"X_amp": 1e10}}, 1, sx.CoverageError, ALIASING),
+        # past any count too, but the phase rule comes first
+        ({"squeeze": {"A0": 1}, "center": {"X_amp": 1e300}}, 0, sx.InvariantError,
+         r"^scenario 'm': phase m omega X_amp\^2 / hbar = inf is not finite$"),
+    ], ids=["automatic-pure", "automatic-mixed", "given-pure", "given-mixed", "given-aliasing",
+            "automatic-aliasing", "automatic-overflowing-phase"])
+    def test_x_and_momentum_coverage_are_judged_once_per_grid(
+            self, monkeypatch, config, judged, error, message):
         checked = []
         real = sx.GridSpec.require_coverage
         monkeypatch.setattr(sx.GridSpec, "require_coverage",
                             lambda grid, spec: checked.append(grid) or real(grid, spec))
-        sc = parse_one(dict(config, name="m", outputs=["verify"]))
-        assert len(checked) == 1
-        assert dataclasses.replace(checked[0], n_points=sc.grid.n_points) == sc.grid
+        config = dict(config, name="m", outputs=["verify"])
+        if error:
+            with pytest.raises(error, match=message):
+                parse_one(config)
+        else:
+            assert checked == [parse_one(config).grid]
+        assert len(checked) == judged
 
 
 def old_spacing_ratio(sc):
@@ -271,7 +289,7 @@ class TestMomentumCoverage:
                 "center": {"X_amp": X * sgr, "phi_c": phi_c}, "sigma_a": s * sgr,
                 "grid": {"x_min": x_min, "x_max": x_max,
                          "n_points": min(bound, max(16, math.ceil(k * need)))},
-                "sample_times": [0.0], "outputs": ["verify"]})
+                "sample_times": [0.0], "outputs": ["density"]})
         except sx.InvariantError as exc:
             assert "resolves momenta" in str(exc)
             return
@@ -293,9 +311,11 @@ class TestMomentumCoverage:
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
                 "squeeze": {"A0": 0.5 * (r + 1.0 / r), "dA": 0.5 * (r - 1.0 / r)},
                 "center": {"X_amp": X * sgr}, "sigma_a": s * sgr,
-                "sample_times": [0.0], "outputs": ["verify"]})
+                "sample_times": [0.0], "outputs": ["density"]})
         except sx.InvariantError as exc:
-            assert f"n_points={bound} resolves momenta up to" in str(exc)
+            # the point bound reports the fewest points that would resolve the momenta
+            need = re.fullmatch(rf"scenario 'p'\.grid: n_points=(\d+) exceeds {bound}", str(exc))
+            assert need and int(need.group(1)) > bound
             return
         support = mass * omega * float(sc.spec.support_radius())
 
@@ -330,23 +350,20 @@ class TestMomentumCoverage:
         cfg.write_text(json.dumps({"name": "far", "squeeze": {"A0": 1.0},
                                    "center": {"X_amp": 150.0}, "outputs": ["verify"]}))
         assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        # pi hbar/h >= 155.657, the momentum support, needs 15,706 points
         assert capsys.readouterr().err == (
-            "invariant violation: scenario 'far': grid x_min=-158.485, x_max=158.485, "
-            "n_points=4096 resolves momenta up to pi hbar/h = 40.5868, below the state's momentum "
-            "support m omega (X_amp + 8 max std) = 155.657; it needs n_points >= 15706\n")
+            "invariant violation: scenario 'far'.grid: n_points=15706 exceeds 4096\n")
         assert not built
 
     @pytest.mark.parametrize("config, message", [
         ({"grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 2049}},
          "scenario 'm'.grid: n_points=2049 exceeds 2048"),
-        ({"center": {"X_amp": 60.0}},
-         "scenario 'm': grid x_min=-70.3923, x_max=70.3923, n_points=2048 resolves momenta up "
-         "to pi hbar/h = 45.6786, below the state's momentum support m omega (X_amp + 8 max std) "
-         "= 66.9282; it needs n_points >= 3000.26"),
+        ({"center": {"X_amp": 60.0}}, "scenario 'm'.grid: n_points=3001 exceeds 2048"),
     ], ids=["given", "automatic"])
     def test_a_mixed_grid_past_max_mixed_grid_points_exit_3_before_any_array(
             self, tmp_path, capsys, monkeypatch, config, message):
-        # both grids are within MAX_GRID_POINTS, and the automatic one took 3001 points under it
+        # both grids are within MAX_GRID_POINTS; the automatic one needs 3001 points to resolve
+        # the momentum support 66.9282
         built = []
         for name in ("eval_mixed_density", "ensemble_average_density", "eval_pure_density"):
             monkeypatch.setattr(scenario, name, lambda *args, **kwargs: built.append(args))
@@ -373,7 +390,8 @@ class TestScenarioRules:
          "scenario 'ground_state': ensemble_nodes=1000000 is outside 16..128"),
         # pi hbar/h = 3.32 against the momentum support 5.66
         ({"grid": sx.GridSpec(-9.0, 9.0, 20)},
-         "scenario 'ground_state': grid x_min=-9, x_max=9, n_points=20 resolves momenta up to"),
+         "scenario 'ground_state'.grid: grid x_min=-9, x_max=9, n_points=20 resolves momenta up "
+         "to"),
     ], ids=["zero-steps", "max-steps", "max-grid-points", "ensemble-nodes", "nyquist"])
     def test_a_replaced_scenario_is_refused_before_anything_is_allocated(self, change, message):
         sc = parse_config((SCENARIOS / "ground_state.json").read_text())[0]
@@ -1003,6 +1021,11 @@ INVARIANT_VIOLATIONS = (
     (dict(FAST_PURE, grid={"x_min": -2.0, "x_max": 2.0, "n_points": 64}),
      "scenario 'fast_pure'.grid: grid coverage invariant violated"),
     (dict(FAST_PURE, sample_times=[0.0, 1.0, 0.5]), "strictly increasing"),
+    # no step: propagation-fidelity would compare psi(0) with itself and print PASS
+    ({"name": "z", "squeeze": {"A0": 1.25, "dA": 0.75},
+      "grid": {"x_min": -12, "x_max": 12, "n_points": 256}, "sample_times": [0.0],
+      "outputs": ["verify"]},
+     "invariant violation: scenario 'z': a stepped trajectory needs a positive sample time\n"),
 )
 
 
@@ -1224,13 +1247,14 @@ class TestCLI:
 
     def test_huge_energies_leave_the_schrodinger_residual_finite(self, tmp_path, capsys):
         # hbar = omega = 1e150 puts |H psi| near 1e300: its squared norm overflowed to a NaN
-        # residual.  72 points, not the 40 first seen, pass the momentum-coverage rule.
+        # residual.  72 points, not the 40 first seen, pass the momentum-coverage rule; the
+        # trajectory takes its default dt = T/8192 to T/64, with T = 2 pi / 1e150.
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps({
             "name": "huge", "oscillator": {"mass": 1.0, "hbar": 1e150, "angular_frequency": 1e150},
             "squeeze": {"initial_variance_D": 1.3},
             "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 72},
-            "sample_times": [0.0], "outputs": ["verify"]}))
+            "sample_times": [0.0, 2.0 * math.pi / 1e150 / 64], "outputs": ["verify"]}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "out") == 0
@@ -1272,7 +1296,7 @@ class TestCLI:
         out = tmp_path / "out"
         assert self.run_cli("run", cfg, "--out-dir", out) == 3
         assert capsys.readouterr().err == (
-            "invariant violation: scenario 'fast': grid x_min=-48, x_max=48, n_points=256 "
+            "invariant violation: scenario 'fast'.grid: grid x_min=-48, x_max=48, n_points=256 "
             "resolves momenta up to pi hbar/h = 8.34486, below the state's momentum support "
             f"m omega (X_amp + 8 max std) = {support}; it needs n_points >= {need}\n")
         assert not out.exists()

@@ -1,5 +1,6 @@
 """Analytic-core tests: closed forms against independent oracles."""
 
+import dataclasses
 import mmap
 import re
 import tracemalloc
@@ -95,9 +96,9 @@ def bits(values):
 def resolved_gaussian_states(draw):
     """(spec, grid): a Gaussian state with P >= 1 on a grid of n >= 24 points that resolves it.
 
-    The grid spans X_amp + 8.5 maximal standard deviations each side; its spacing
-    stays below 0.8 of the narrowest x standard deviation, so the trapezoid trace
-    of the density is 1 well within NORM_TOL.
+    The grid spans X_amp + 8.5 maximal standard deviations each side, with more than
+    n points where its momenta need them; its spacing stays below 0.8 of the narrowest
+    x standard deviation, so the trapezoid trace of the density is 1 well within NORM_TOL.
     """
     n = draw(st.integers(24, 300))
     P = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
@@ -111,6 +112,14 @@ def resolved_gaussian_states(draw):
     grid = sx.GridSpec.for_state(spec, n_points=n, margin=8.5)
     assume(grid.spacing <= 0.8 * np.sqrt(SGR2 * (A0 - dA)))
     return spec, grid
+
+
+# A pure state and a mixed one (sigma_a = 0.5 on the same base) 30 units from the origin.
+# On 256 points across +-support_radius(12) x is covered and the momenta are not: there the
+# mixed moments read mean_p = -1.380 at t = pi/4 (true -21.213) and var_p = 82.12 at
+# t = pi/2 (true 0.75).
+ALIASED_PURE = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0), sx.CenterTrajectory(30.0))
+ALIASED_MIXED = sx.MixedGaussianSpec(ALIASED_PURE, 0.5)
 
 
 def random_hermitian(n, rng):
@@ -208,6 +217,41 @@ class TestTypeInvariants:
         with pytest.raises(sx.CoverageError, match="coverage"):
             sx.GridSpec(-2.0, 2.0, 64).require_coverage(spec)
         sx.GridSpec.for_state(spec).require_coverage(spec)
+
+    @pytest.mark.parametrize("evaluate, mixed", [
+        (lambda spec, grid: sx.eval_pure_wavefunction(spec, grid, np.pi / 4), False),
+        (lambda spec, grid: sx.eval_pure_density(spec, grid, np.pi / 4), False),
+        (lambda spec, grid: sx.schrodinger_residual(spec, grid, np.pi / 4), False),
+        (lambda spec, grid: sx.eval_mixed_density(sx.reparameterize(spec), grid, np.pi / 4), True),
+        (lambda spec, grid: sx.ensemble_average_density(spec, grid, np.pi / 4), True),
+    ], ids=["eval_pure_wavefunction", "eval_pure_density", "schrodinger_residual",
+            "eval_mixed_density", "ensemble_average_density"])
+    def test_every_evaluator_refuses_a_grid_that_aliases_the_momenta(self, evaluate, mixed):
+        spec = ALIASED_MIXED if mixed else ALIASED_PURE
+        target = sx.reparameterize(spec) if mixed else spec
+        r = target.support_radius(12.0)
+        # the same span with the points the momentum rule asks for passes both rules
+        sx.GridSpec.for_state(target, 256).require_coverage(target)
+        with pytest.raises(sx.CoverageError, match=r"^grid x_min=.* resolves momenta up to "
+                                                   r"pi hbar/h = .*; it needs n_points >= "):
+            evaluate(spec, sx.GridSpec(-r, r, 256))
+
+    def test_for_state_takes_the_fewest_points_from_its_floor_that_resolve_the_momenta(self):
+        spec = sx.reparameterize(ALIASED_MIXED)
+        grid = sx.GridSpec.for_state(spec, 256)
+        assert (grid.x_min, grid.x_max) == (-spec.support_radius(12.0), spec.support_radius(12.0))
+        # the momentum support 36.9282 needs 950.592 points
+        assert grid.n_points == 951
+        with pytest.raises(sx.CoverageError, match="it needs n_points >= 950.592"):
+            dataclasses.replace(grid, n_points=950).require_coverage(spec)
+        assert sx.GridSpec.for_state(spec, 1000).n_points == 1000
+        # about 6e19 points would resolve X_amp = 1e10: no count does, the floor is kept, and
+        # require_coverage refuses the grid
+        far = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0), sx.CenterTrajectory(1e10))
+        grid = sx.GridSpec.for_state(far, 1024)
+        assert grid.n_points == 1024
+        with pytest.raises(sx.CoverageError, match="resolves momenta"):
+            grid.require_coverage(far)
 
     def test_wavefunction_sample_rejects_unnormalized(self):
         grid = sx.GridSpec(-8.0, 8.0, 128)

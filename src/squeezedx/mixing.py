@@ -58,17 +58,19 @@ DEFAULT_SEED = 12345
 class MixedGaussianSpec:
     """A pure base state plus a classical Gaussian spread of its center.
 
-    The mean center follows the base trajectory.  sigma_a = 0 reduces
-    exactly to the pure case.
+    The mean center follows the base trajectory, and sigma_a = 0 is exactly the
+    pure case.  The one judge of a state: its squeeze is pure, its spread in range.
     """
 
     base: GaussianStateSpec
     sigma_a: float = 0.0
 
     def __post_init__(self):
-        _require_pure(self.base, "mixed-state base")
-        if not self.sigma_a >= 0.0:
-            raise InvariantError(f"mixing invariant sigma_a >= 0 violated: sigma_a={self.sigma_a}")
+        _require_pure(self.base, "squeeze (mixing comes from sigma_a)")
+        s = self.sigma_a  # s * s, not s**2, which raises OverflowError past the float range
+        if not (s >= 0.0 and math.isfinite(s * s / self.base.osc.ground_variance)):
+            raise InvariantError("mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 finite "
+                                 f"violated: sigma_a={s!r}")
 
     @property
     def purity_product(self) -> float:

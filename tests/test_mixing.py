@@ -1,6 +1,7 @@
 """Ensemble-mixer tests: closed forms vs brute-force averaging and quadrature."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,6 +103,26 @@ def rank_k_bound(peak: float, blocks: int) -> float:
     return 1e-14 * peak * max(1.0, blocks / RANK_K_BLOCKS)
 
 
+# Both sums cost in proportion to their block count: 65,536 one-member blocks at n = 92 took
+# 16.7 s, 16,900 at n = 16 2.4 s.  So the strategy draws at most DRAWN_BLOCKS blocks, and one
+# explicit example of PAST_RANK_K_BLOCKS one-member blocks at n = 16 runs the bound's growth.
+DRAWN_BLOCKS = 2**11
+PAST_RANK_K_BLOCKS = 130**2
+
+
+def block_count(n: int, method: str, count: int, block_values: int) -> int:
+    """Blocks of the ensemble sum over ``count``**2 Gauss-Hermite nodes or ``count`` samples."""
+    members = count * count if method == "gauss-hermite" else count
+    return len(mixing._tiles(members, n, block_values))
+
+
+# (n, method, count, block_values) of an ensemble sum of at most DRAWN_BLOCKS blocks
+ENSEMBLE_SHAPES = st.tuples(
+    st.integers(16, 97), st.sampled_from(["gauss-hermite", "monte-carlo"]), st.integers(1, 300),
+    st.one_of(st.just(mixing.BLOCK_VALUES), st.integers(1, 64 * 97)),
+).filter(lambda shape: block_count(*shape) <= DRAWN_BLOCKS)
+
+
 def member_columns(spec, grid, t, dx0, dp0, weights):
     """The members psi_m from mixing._member_block: each column C_m + i S_m times the
     shared row factor, divided by sqrt(w_m)."""
@@ -120,9 +141,21 @@ class TestMixedGaussianSpec:
             sx.MixedGaussianSpec(base, sigma_a=0.1)
 
     def test_rejects_negative_spread(self):
+        # sigma_a**2 hides the sign, so the sign is judged on its own
         base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
-        with pytest.raises(sx.InvariantError, match="sigma_a >= 0"):
+        with pytest.raises(sx.InvariantError, match=r"^mixing invariant sigma_a >= 0 with "
+                                                    r"sigma_a\^2/sigma_gr\^2 finite violated: "
+                                                    r"sigma_a=-0\.1$"):
             sx.MixedGaussianSpec(base, sigma_a=-0.1)
+
+    @pytest.mark.parametrize("sigma_a", [math.nan, math.inf, 1e200], ids=["nan", "inf", "1e200"])
+    def test_rejects_a_spread_whose_square_is_not_finite(self, sigma_a):
+        # inf used to build A0 = inf, and 1e200 to raise OverflowError from sigma_a**2 in
+        # reparameterize, purity_product and ensemble_average_density
+        base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
+        with pytest.raises(sx.InvariantError, match=r"sigma_a\^2/sigma_gr\^2 finite violated: "
+                                                    rf"sigma_a={re.escape(repr(sigma_a))}$"):
+            sx.MixedGaussianSpec(base, sigma_a=sigma_a)
 
     @given(A0=st.floats(1.0, 4.0), s=st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -403,20 +436,21 @@ class TestEnsembleBlocks:
             peak = np.abs(one[name]).max()
             assert np.abs(blocked - one[name]).max() <= 1e-14 * peak
 
-    @given(n=st.integers(16, 97), method=st.sampled_from(["gauss-hermite", "monte-carlo"]),
-           count=st.integers(1, 300), block_values=st.one_of(
-               st.just(mixing.BLOCK_VALUES), st.integers(1, 64 * 97)),
+    @given(shape=ENSEMBLE_SHAPES,
            A0=st.floats(1.0, 3.0), phi_sq=st.floats(0.0, np.pi), X_ratio=st.floats(0.0, 3.0),
            phi_c=st.floats(0.0, 2 * np.pi), s_ratio=st.floats(0.1, 1.5), t=st.floats(0.0, T))
-    @example(n=64, method="gauss-hermite", count=17, block_values=100 * 64, A0=1.5, phi_sq=0.4,
+    @example(shape=(64, "gauss-hermite", 17, 100 * 64), A0=1.5, phi_sq=0.4,
              X_ratio=1.0, phi_c=1.0, s_ratio=1.0, t=1.3)  # GH, even n, ragged last block
-    @example(n=63, method="monte-carlo", count=250, block_values=31, A0=1.25, phi_sq=2.0,
+    @example(shape=(63, "monte-carlo", 250, 31), A0=1.25, phi_sq=2.0,
              X_ratio=2.0, phi_c=0.3, s_ratio=0.6, t=4.0)  # MC, odd n, BLOCK_VALUES below n
-    @example(n=37, method="monte-carlo", count=1, block_values=mixing.BLOCK_VALUES, A0=2.0,
+    @example(shape=(37, "monte-carlo", 1, mixing.BLOCK_VALUES), A0=2.0,
              phi_sq=0.0, X_ratio=0.5, phi_c=0.0, s_ratio=0.8, t=0.7)  # one member
+    @example(shape=(16, "gauss-hermite", math.isqrt(PAST_RANK_K_BLOCKS), 1), A0=1.5,
+             phi_sq=0.4, X_ratio=1.0, phi_c=1.0, s_ratio=1.0, t=1.3)  # the bound's growth
     @settings(max_examples=40, deadline=None)
-    def test_real_rank_k_sum_equals_the_complex_gemm_sum(self, n, method, count, block_values,
-                                                          A0, phi_sq, X_ratio, phi_c, s_ratio, t):
+    def test_real_rank_k_sum_equals_the_complex_gemm_sum(self, shape, A0, phi_sq, X_ratio, phi_c,
+                                                          s_ratio, t):
+        n, method, count, block_values = shape
         ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, phi_c=phi_c, sigma_a=s_ratio * SGR)
         # the sums take any grid: n points across the 12-std span, resolved or not
         r = sx.reparameterize(ms).support_radius(12.0)
@@ -426,13 +460,12 @@ class TestEnsembleBlocks:
             mp.setattr(mixing, "BLOCK_VALUES", block_values)
             rho = mixing._ensemble_sum(ms, grid, t, dx0, dp0, log_w)
             ref = complex_gemm_sum(ms, grid, t, dx0, dp0, weights)
-        blocks = len(mixing._tiles(dx0.size, n, block_values))
-        assert np.abs(rho - ref).max() <= rank_k_bound(np.abs(ref).max(), blocks)
+        assert np.abs(rho - ref).max() <= rank_k_bound(np.abs(ref).max(), block_count(*shape))
         assert np.array_equal(rho, rho.conj().T)
 
     @pytest.mark.parametrize("defect", ["dropped-central-member", "flipped-im-sign"])
     def test_the_rank_k_bound_at_its_loosest_fails_a_planted_defect(self, defect):
-        # 300**2 one-member blocks are the most the strategy above draws
+        # PAST_RANK_K_BLOCKS, the explicit example's, are the most blocks the test above sums
         ms = mixed(A0=1.5, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
         r = sx.reparameterize(ms).support_radius(12.0)
         grid = sx.GridSpec(-r, r, 64)
@@ -443,7 +476,7 @@ class TestEnsembleBlocks:
             rho = mixing._ensemble_sum(ms, grid, 1.3, dx0[keep], dp0[keep], log_w[keep])
         else:  # Im rho with its sign flipped
             rho = mixing._ensemble_sum(ms, grid, 1.3, dx0, dp0, log_w).conj()
-        assert np.abs(rho - ref).max() > rank_k_bound(np.abs(ref).max(), 300**2)
+        assert np.abs(rho - ref).max() > rank_k_bound(np.abs(ref).max(), PAST_RANK_K_BLOCKS)
 
     def test_monte_carlo_memory_is_bounded_by_the_block(self):
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)

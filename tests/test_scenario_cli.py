@@ -405,6 +405,26 @@ class TestScenarioRules:
         assert str(caught.value).startswith(message)
         assert peak < 2**16  # one wavefunction on the 65,536-point grid takes 1 MiB
 
+    def test_a_replaced_state_brings_its_own_closed_form(self, tmp_path):
+        # with a stored spec beside the state, 1.1 sigma_a kept P = 4 and wrote purity 0.5
+        sc = parse_config((SCENARIOS / "mixed_p4.json").read_text())[0]
+        assert {"spec", "mixed"}.isdisjoint(f.name for f in dataclasses.fields(sc))
+        wider = dataclasses.replace(sc, state=sx.MixedGaussianSpec(
+            sc.state.base, 1.1 * sc.state.sigma_a), outputs=("timeseries",))
+        assert wider.spec.purity_product == pytest.approx(4.8841, rel=1e-12)
+        rows = run_scenario(wider, tmp_path).files[0].read_text().splitlines()[1:]
+        purities = [float(row.split(",")[10]) for row in rows]
+        assert len(purities) == 64
+        assert max(abs(p - 4.8841 ** -0.5) for p in purities) < 1e-5
+
+    def test_a_replaced_state_is_judged_on_the_grid(self):
+        # 2 sigma_a used to pass against the stored spec and stop verify with a CoverageError
+        sc = parse_config((SCENARIOS / "mixed_p4.json").read_text())[0]
+        with pytest.raises(sx.InvariantError, match=r"^scenario 'mixed_p4'\.grid: grid coverage "
+                                                    "invariant violated"):
+            dataclasses.replace(sc, state=sx.MixedGaussianSpec(
+                sc.state.base, 2.0 * sc.state.sigma_a))
+
     @pytest.mark.parametrize("config", [FAST_PURE, FAST_MIXED], ids=["pure", "mixed"])
     def test_a_scenario_built_with_no_sample_times_is_refused(self, config):
         sc = parse_one(config)
@@ -767,7 +787,7 @@ class TestPool:
         pooled = scenario.run_scenarios(scenarios, tmp_path / "pool")
         serial = [run_scenario(sc, tmp_path / "serial") for sc in scenarios]
         for p, s in zip(pooled, serial):
-            assert (p.name, p.verified, p.lines) == (s.name, s.verified, s.lines)
+            assert (p.verified, p.lines) == (s.verified, s.lines)
             assert [f.name for f in p.files] == [f.name for f in s.files]
             for pf, sf in zip(p.files, s.files):
                 assert pf.read_bytes() == sf.read_bytes()
@@ -775,16 +795,16 @@ class TestPool:
 
 class TestVerify:
     def test_pure_scenario_passes(self):
-        ok, lines = verify_scenario(parse_one(FAST_PURE))
-        assert ok, lines
+        lines = verify_scenario(parse_one(FAST_PURE))
+        assert all(ok for ok, _ in lines), lines
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
         assert {"ode-residuals", "schrodinger-residual",
                 "variance-law", "phase-law", "propagation-fidelity"} <= labels
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
     def test_mixed_scenario_passes(self):
-        ok, lines = verify_scenario(parse_one(FAST_MIXED))
-        assert ok, lines
+        lines = verify_scenario(parse_one(FAST_MIXED))
+        assert all(ok for ok, _ in lines), lines
         labels = {ln.split("] ")[1].split(":")[0] for _, ln in lines}
         assert {"purity-law", "ensemble-agreement"} <= labels
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
@@ -812,7 +832,7 @@ class TestVerify:
             "[wide] ensemble-agreement: FAIL (node-doubling drift at 32 nodes = 4.224e-04, "
             "tol 1e-08, margin -4.224e-04)",
             "verification FAILED"]
-        _, lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
+        lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
     def test_a_mixed_verify_holds_at_most_14_densities(self, monkeypatch):
@@ -825,11 +845,11 @@ class TestVerify:
                             sample_times=[0.0, 0.7, 1.9], outputs=["verify"]))
         tracemalloc.start()
         try:
-            passed, lines = verify_scenario(sc)
+            lines = verify_scenario(sc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert passed, lines
+        assert all(ok for ok, _ in lines), lines
         assert peak <= 14 * n * n * 16
 
     def test_nan_value_fails(self):
@@ -840,14 +860,14 @@ class TestVerify:
     def test_coherent_scenario_with_nonzero_squeeze_phase_passes(self):
         # dA = 0 with any phi_sq is a valid constant-width state; its phase
         # starts at a nonzero constant, which must not trip the phase checks
-        ok, lines = verify_scenario(parse_one({
+        lines = verify_scenario(parse_one({
             "name": "c", "squeeze": {"A0": 1.0, "phi_sq": 0.7},
             "grid": {"x_min": -9.0, "x_max": 9.0, "n_points": 256},
             "propagator": {"dt": 2 * np.pi / 1024},
             "sample_times": [k * 2 * np.pi / 8 for k in range(8)],
             "outputs": ["verify"],
         }))
-        assert ok, lines
+        assert all(ok for ok, _ in lines), lines
 
 
     @pytest.mark.parametrize("times", [[0.7], [0.0, 0.7]], ids=["one", "two"])
@@ -856,8 +876,8 @@ class TestVerify:
         real = scenario.ensemble_average_density
         monkeypatch.setattr(scenario, "ensemble_average_density",
                             lambda spec, grid, t, *a, **k: probed.append(t) or real(spec, grid, t, *a, **k))
-        passed, _ = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times)))
-        assert passed
+        lines = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times)))
+        assert all(ok for ok, _ in lines), lines
         assert probed == times
 
 
@@ -967,10 +987,10 @@ INVARIANT_VIOLATIONS = (
      "does not resolve sample_times"),
     (dict(FAST_MIXED, outputs=["timeseries", "wavefunction"]),
      "wavefunction product requires a pure state"),
-    # P = 4 with no sigma_a: the squeeze is judged, not a mixed base nobody asked for
+    # P = 4 with no sigma_a: the one purity gate judges the squeeze, as it does with one
     ({"name": "x", "squeeze": {"A0": 2.0}, "outputs": ["verify"]},
-     "invariant violation: scenario 'x'.squeeze: P = 4.0, not 1 as a pure state "
-     "needs; a mixed state is a pure squeeze with sigma_a > 0\n"),
+     "invariant violation: scenario 'x': squeeze (mixing comes from sigma_a) requires a pure "
+     "state (P = 1): P = 4.0\n"),
     # t/dt overflows to infinity
     (dict(DISPLACED, propagator={"dt": 1e-320}, sample_times=[0.0, 1.0]),
      "more than 1048576"),
@@ -1009,11 +1029,18 @@ INVARIANT_VIOLATIONS = (
     # x_max - x_min overflows
     (dict(FAST_MIXED, grid={"x_min": -1.7e308, "x_max": 1.7e308, "n_points": 64}),
      "with a finite width x_max - x_min violated"),
-    # the constructor of each part names the section it was read from
+    # the constructor of each part names the section it was read from; the state's names
+    # the key it judges
     ({"name": "w", "squeeze": {"A0": 2.0}, "sigma_a": 0.5, "outputs": ["verify"]},
-     "scenario 'w'.sigma_a: mixed-state base requires a pure state (P = 1): P = 4.0"),
+     "invariant violation: scenario 'w': squeeze (mixing comes from sigma_a) requires a pure "
+     "state (P = 1): P = 4.0\n"),
     ({"name": "w", "squeeze": {"A0": 1.0}, "sigma_a": -0.1, "outputs": ["verify"]},
-     "scenario 'w'.sigma_a: mixing invariant sigma_a >= 0 violated"),
+     "scenario 'w': mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 finite violated: "
+     "sigma_a=-0.1\n"),
+    # sigma_a**2 overflowed: "sigma_a=1e+200 is out of range: (34, 'Numerical result out of range')"
+    ({"name": "w", "squeeze": {"A0": 1.0}, "sigma_a": 1e200, "outputs": ["verify"]},
+     "invariant violation: scenario 'w': mixing invariant sigma_a >= 0 with "
+     "sigma_a^2/sigma_gr^2 finite violated: sigma_a=1e+200\n"),
     (dict(FAST_PURE, squeeze={"initial_variance_D": -1.0}),
      "scenario 'fast_pure'.squeeze: initial variance must be a positive"),
     (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 8}),

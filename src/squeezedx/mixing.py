@@ -68,9 +68,10 @@ class MixedGaussianSpec:
     def __post_init__(self):
         _require_pure(self.base, "squeeze (mixing comes from sigma_a)")
         s = self.sigma_a  # s * s, not s**2, which raises OverflowError past the float range
-        if not (s >= 0.0 and math.isfinite(s * s / self.base.osc.ground_variance)):
-            raise InvariantError("mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 finite "
-                                 f"violated: sigma_a={s!r}")
+        if not (s >= 0.0 and math.isfinite(s * s / self.base.osc.ground_variance)
+                and math.isfinite(self.purity_product)):
+            raise InvariantError("mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 and P "
+                                 f"finite violated: sigma_a={s!r}")
 
     @property
     def purity_product(self) -> float:

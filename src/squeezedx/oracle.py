@@ -22,7 +22,7 @@ edge aborts the run rather than silently wrapping or reflecting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -57,8 +57,9 @@ class PropagatorConfig:
     """Time-stepping scheme selection: which scheme, step size, step count."""
 
     scheme: str = "spectral-split-step"
-    dt: float = 2.0 * np.pi / 8192.0
-    n_steps: int = 8192
+    _: KW_ONLY
+    dt: float
+    n_steps: int
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:

@@ -163,11 +163,22 @@ class Scenario:
     mc_check: bool
 
     def __post_init__(self):
+        # the name and the products make the product file names; their rules exit 2
+        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
+            raise ParseError(f"scenario name must match {_NAME_RE.pattern}: got {self.name!r}")
         ctx, spec, grid, times, dt = (f"scenario {self.name!r}", self.spec, self.grid,
                                       self.sample_times, self.dt)
+        if not self.outputs:
+            raise ParseError(f"{ctx}.outputs must be a non-empty list")
+        for p in self.outputs:
+            if p not in PRODUCTS:
+                raise ParseError(f"{ctx}.outputs contains unknown product {p!r}; "
+                                 f"expected {PRODUCTS}")
+            if self.outputs.count(p) > 1:
+                raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
         if grid.n_points > (bound := MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_GRID_POINTS):
             raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {bound}")
-        _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt, 1)  # scheme and dt
+        _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt=dt, n_steps=1)
         if not times or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(f"{ctx}: sample_times must be non-empty and strictly increasing")
         if self.steps:  # the trajectory is stepped from t = 0 to step round(t/dt) of each time
@@ -229,7 +240,8 @@ class Scenario:
         for t in self.sample_times:
             n_steps = _step(t, self.dt) - _step(psi.time, self.dt)
             if n_steps > 0:
-                psi = propagate(psi, self.osc, PropagatorConfig(self.scheme, self.dt, n_steps))
+                cfg = PropagatorConfig(self.scheme, dt=self.dt, n_steps=n_steps)
+                psi = propagate(psi, self.osc, cfg)
             fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
         return tuple(fids)
 
@@ -240,15 +252,12 @@ def _step(t: float, dt: float) -> int:
 
 
 def _parse_scenario(obj: dict) -> Scenario:
-    """Read a scenario's keys, types, list shapes and name; Scenario judges its values."""
+    """Read a scenario's keys, types and list shapes; Scenario judges its values."""
     _check_keys(obj, {"name", "oscillator", "squeeze", "center", "sigma_a", "grid", "propagator",
                       "sample_times", "outputs", "ensemble_nodes", "mc_check"},
                 {"name", "squeeze", "outputs"}, "scenario")
 
-    name = obj["name"]
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise ParseError(f"scenario name must match {_NAME_RE.pattern}: got {name!r}")
-    ctx = f"scenario {name!r}"
+    ctx = f"scenario {obj['name']!r}"
 
     osc = _section(OscillatorConfig, obj.get("oscillator", {}), f"{ctx}.oscillator")
 
@@ -286,22 +295,17 @@ def _parse_scenario(obj: dict) -> Scenario:
             raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
         times = tuple(_finite(v, f"{ctx}.sample_times entry") for v in times_obj)
 
-    outputs_obj = obj["outputs"]
-    if not isinstance(outputs_obj, list) or not outputs_obj:
+    outputs = obj["outputs"]
+    if not isinstance(outputs, list):
         raise ParseError(f"{ctx}.outputs must be a non-empty list")
-    for p in outputs_obj:
-        if p not in PRODUCTS:
-            raise ParseError(f"{ctx}.outputs contains unknown product {p!r}; expected {PRODUCTS}")
-        if outputs_obj.count(p) > 1:
-            raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
 
     ensemble_nodes = _integer(obj, "ensemble_nodes", ctx, 32)
     mc_check = obj.get("mc_check", False)
     if not isinstance(mc_check, bool):
         raise ParseError(f"{ctx}.mc_check must be a boolean")
 
-    return Scenario(name=name, state=state, grid=grid, scheme=scheme, dt=dt,
-                    sample_times=times, outputs=tuple(outputs_obj),
+    return Scenario(name=obj["name"], state=state, grid=grid, scheme=scheme, dt=dt,
+                    sample_times=times, outputs=tuple(outputs),
                     ensemble_nodes=ensemble_nodes, mc_check=mc_check)
 
 
@@ -417,30 +421,23 @@ def read_density_dump(path: Path) -> DensityMatrixSample:
 # verification
 # ---------------------------------------------------------------------------
 
-def _check(lines, name, label, what, value, tol) -> None:
-    """Record the check ``what = value`` against ``tol``: passes iff value <= tol (NaN fails)."""
-    ok = bool(value <= tol)
-    lines.append((ok, f"[{name}] {label}: {'PASS' if ok else 'FAIL'} "
-                      f"({what} = {value:.3e}, tol {tol:g}, margin {tol - value:.3e})"))
-
-
 def _probe_times(sc: Scenario) -> list:
     """First, middle and last sample time, each distinct time once."""
     times = sc.sample_times
     return list(dict.fromkeys([times[0], times[len(times) // 2], times[-1]]))
 
 
-def _verify_pure(sc: Scenario, lines: list) -> None:
+def _verify_pure(sc: Scenario):
     spec = sc.spec
     osc = sc.osc
     omega = osc.angular_frequency
     times = np.asarray(sc.sample_times)
 
     rmax = float(np.max(ode_residuals(spec.squeeze, osc, times)))
-    _check(lines, sc.name, "ode-residuals", "max residual", rmax, 1e-6)
+    yield "ode-residuals", "max residual", rmax, 1e-6
 
     res = max(schrodinger_residual(spec, sc.grid, t) for t in _probe_times(sc))
-    _check(lines, sc.name, "schrodinger-residual", "max residual", res, 1e-5)
+    yield "schrodinger-residual", "max residual", res, 1e-5
 
     s2 = osc.ground_variance
     var_err = 0.0
@@ -448,30 +445,31 @@ def _verify_pure(sc: Scenario, lines: list) -> None:
         A, _ = quadrature_shape(spec.squeeze, omega, t)
         var_x = moments(eval_pure_wavefunction(spec, sc.grid, t), osc).var_x
         var_err = max(var_err, abs(var_x - s2 * A) / (s2 * A))
-    _check(lines, sc.name, "variance-law", "max rel |var_x - sigma_gr^2 A|", var_err, 1e-8)
+    yield "variance-law", "max rel |var_x - sigma_gr^2 A|", var_err, 1e-8
 
     if spec.center.X_amp == 0.0:
         dphi = (accumulated_phase(spec.squeeze, spec.center, osc, times + np.pi / omega)
                 - accumulated_phase(spec.squeeze, spec.center, osc, times))
         phase_err = float(np.abs(dphi - np.pi / 2).max())
-        _check(lines, sc.name, "phase-law", "max |dphi - pi/2|", phase_err, 1e-9)
+        yield "phase-law", "max |dphi - pi/2|", phase_err, 1e-9
         if spec.squeeze.dA == 0.0:
             # constant-width states accumulate phase at exactly omega/2
             # (phi(0) is a phi_sq-dependent constant)
             phi = accumulated_phase(spec.squeeze, spec.center, osc, times)
             phi0 = accumulated_phase(spec.squeeze, spec.center, osc, 0.0)
             gerr = float(np.abs(phi - phi0 - omega * times / 2).max())
-            _check(lines, sc.name, "ground-phase", "max |phi - phi(0) - omega t / 2|", gerr, 1e-12)
+            yield "ground-phase", "max |phi - phi(0) - omega t / 2|", gerr, 1e-12
 
-    _check(lines, sc.name, "propagation-fidelity", "1 - min fidelity",
-           1.0 - min(sc.fidelities), 1e-6)
+    # at t = 0 the propagated state is the closed form itself
+    yield ("propagation-fidelity", "max |1 - fidelity| at t > 0",
+           max(abs(1.0 - f) for t, f in zip(sc.sample_times, sc.fidelities) if t > 0), 1e-6)
 
 
-def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
+def _verify_mixed(sc: Scenario, seed: int):
     probe = _probe_times(sc)
     dms = [eval_mixed_density(sc.spec, sc.grid, t) for t in probe]
     pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
-    _check(lines, sc.name, "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5)
+    yield "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5
 
     try:
         ens_err = 0.0
@@ -481,28 +479,29 @@ def _verify_mixed(sc: Scenario, lines: list, seed: int) -> None:
             ens = ensemble_average_density(sc.state, sc.grid, t, sc.ensemble_nodes)
             peak = float(np.abs(dm.values).max())
             ens_err = max(ens_err, float(np.abs(ens.values - dm.values).max()) / peak)
-        _check(lines, sc.name, "ensemble-agreement",
-               f"max peak-relative error at {sc.ensemble_nodes} nodes", ens_err, 1e-8)
     except ConvergenceError as exc:
-        _check(lines, sc.name, "ensemble-agreement",
-               f"node-doubling drift at {sc.ensemble_nodes} nodes", exc.drift, CONVERGENCE_TOL)
+        yield ("ensemble-agreement", f"node-doubling drift at {sc.ensemble_nodes} nodes",
+               exc.drift, CONVERGENCE_TOL)
+    else:
+        yield ("ensemble-agreement", f"max peak-relative error at {sc.ensemble_nodes} nodes",
+               ens_err, 1e-8)
 
     if sc.mc_check:
         rho = dms[0].values
         ens = ensemble_average_density(sc.state, sc.grid, probe[0], method="monte-carlo",
                                        seed=seed)
         rms = float(np.sqrt(np.mean(np.abs(ens.values - rho) ** 2))) / float(np.abs(rho).max())
-        _check(lines, sc.name, "mc-agreement",
-               f"peak-relative rms at 1e5 samples, seed {seed}", rms, 1e-3)
+        yield "mc-agreement", f"peak-relative rms at 1e5 samples, seed {seed}", rms, 1e-3
 
 
 def verify_scenario(sc: Scenario, seed: int = DEFAULT_SEED) -> list:
-    """Run all verification checks; returns their [(ok, line), ...]."""
-    lines: list = []
-    if sc.is_mixed:
-        _verify_mixed(sc, lines, seed)
-    else:
-        _verify_pure(sc, lines)
+    """Run all verification checks; returns their [(ok, line), ...].  The one judge of a
+    check record (label, what, value, tol): it passes iff value <= tol, so NaN fails."""
+    lines = []
+    for label, what, value, tol in _verify_mixed(sc, seed) if sc.is_mixed else _verify_pure(sc):
+        ok = bool(value <= tol)
+        lines.append((ok, f"[{sc.name}] {label}: {'PASS' if ok else 'FAIL'} "
+                          f"({what} = {value:.3e}, tol {tol:g}, margin {tol - value:.3e})"))
     return lines
 
 
@@ -553,7 +552,7 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
     t = sc.sample_times[-1]
     for product in sc.outputs:
         if product == "verify":
-            lines.extend(verify_scenario(sc, seed=seed))
+            lines = verify_scenario(sc, seed=seed)
             continue
         path = paths[product]
         try:

@@ -144,8 +144,8 @@ class TestMixedGaussianSpec:
         # sigma_a**2 hides the sign, so the sign is judged on its own
         base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
         with pytest.raises(sx.InvariantError, match=r"^mixing invariant sigma_a >= 0 with "
-                                                    r"sigma_a\^2/sigma_gr\^2 finite violated: "
-                                                    r"sigma_a=-0\.1$"):
+                                                    r"sigma_a\^2/sigma_gr\^2 and P finite "
+                                                    r"violated: sigma_a=-0\.1$"):
             sx.MixedGaussianSpec(base, sigma_a=-0.1)
 
     @pytest.mark.parametrize("sigma_a", [math.nan, math.inf, 1e200], ids=["nan", "inf", "1e200"])
@@ -153,9 +153,17 @@ class TestMixedGaussianSpec:
         # inf used to build A0 = inf, and 1e200 to raise OverflowError from sigma_a**2 in
         # reparameterize, purity_product and ensemble_average_density
         base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
-        with pytest.raises(sx.InvariantError, match=r"sigma_a\^2/sigma_gr\^2 finite violated: "
-                                                    rf"sigma_a={re.escape(repr(sigma_a))}$"):
+        with pytest.raises(sx.InvariantError, match=r"sigma_a\^2/sigma_gr\^2 and P finite "
+                                                    rf"violated: sigma_a={re.escape(repr(sigma_a))}$"):
             sx.MixedGaussianSpec(base, sigma_a=sigma_a)
+
+    def test_rejects_a_spread_whose_purity_product_is_not_finite(self):
+        # sigma_a^2/sigma_gr^2 = 2e300 is finite, but P = (1 + 2e300)^2 is not: it used to build
+        base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
+        with pytest.raises(sx.InvariantError, match=r"^mixing invariant sigma_a >= 0 with "
+                                                    r"sigma_a\^2/sigma_gr\^2 and P finite "
+                                                    r"violated: sigma_a=1e\+150$"):
+            sx.MixedGaussianSpec(base, sigma_a=1e150)
 
     @given(A0=st.floats(1.0, 4.0), s=st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)

@@ -87,8 +87,8 @@ VERIFY_LINES = {
         "[ground_state] phase-law: PASS (max |dphi - pi/2| = 4.441e-16, tol 1e-09, margin 1.000e-09)",
         "[ground_state] ground-phase: PASS (max |phi - phi(0) - omega t / 2| = 0.000e+00, tol 1e-12, "
         "margin 1.000e-12)",
-        "[ground_state] propagation-fidelity: PASS (1 - min fidelity = 6.843e-13, tol 1e-06, "
-        "margin 1.000e-06)",
+        "[ground_state] propagation-fidelity: PASS (max |1 - fidelity| at t > 0 = 6.843e-13, "
+        "tol 1e-06, margin 1.000e-06)",
     ],
     "squeezed_vacuum": [
         "[squeezed_vacuum] ode-residuals: PASS (max residual = 4.717e-10, tol 1e-06, margin 9.995e-07)",
@@ -97,8 +97,9 @@ VERIFY_LINES = {
         "[squeezed_vacuum] variance-law: PASS (max rel |var_x - sigma_gr^2 A| = 4.771e-16, tol 1e-08, "
         "margin 1.000e-08)",
         "[squeezed_vacuum] phase-law: PASS (max |dphi - pi/2| = 8.882e-16, tol 1e-09, margin 1.000e-09)",
-        "[squeezed_vacuum] propagation-fidelity: PASS (1 - min fidelity = 0.000e+00, tol 1e-06, "
-        "margin 1.000e-06)",
+        # every propagated fidelity here exceeds 1, so the check takes |1 - F|
+        "[squeezed_vacuum] propagation-fidelity: PASS (max |1 - fidelity| at t > 0 = 1.534e-12, "
+        "tol 1e-06, margin 1.000e-06)",
     ],
     "mixed_p4": [
         "[mixed_p4] purity-law: PASS (max |purity - P^-1/2| = 1.832e-15, tol 1e-05, margin 1.000e-05)",
@@ -404,6 +405,28 @@ class TestScenarioRules:
             tracemalloc.stop()
         assert str(caught.value).startswith(message)
         assert peak < 2**16  # one wavefunction on the 65,536-point grid takes 1 MiB
+
+    @pytest.mark.parametrize("change, message", [
+        # it used to write tmp_path/escaped_density_t6.18501.csv, outside the output directory
+        ({"name": "../escaped"}, "scenario name must match ^[A-Za-z0-9._-]+$: got '../escaped'"),
+        # $ also matches before a final newline, so match() let this name write a file
+        ({"name": "x\n"}, "scenario name must match ^[A-Za-z0-9._-]+$: got 'x\\n'"),
+        # it used to write a density dump named for the product
+        ({"outputs": ("bogus",)},
+         "scenario 'mixed_p4'.outputs contains unknown product 'bogus'; "
+         "expected ('timeseries', 'wavefunction', 'density', 'verify')"),
+        ({"outputs": ("density", "density")},
+         "scenario 'mixed_p4'.outputs lists product 'density' more than once"),
+        ({"outputs": ()}, "scenario 'mixed_p4'.outputs must be a non-empty list"),
+    ], ids=["escaping-name", "newline-name", "unknown-product", "repeated-product", "no-product"])
+    def test_a_replaced_name_or_product_list_is_refused_before_any_file(
+            self, tmp_path, change, message):
+        sc = parse_config((SCENARIOS / "mixed_p4.json").read_text())[0]
+        with pytest.raises(sx.ParseError) as caught:
+            run_scenario(dataclasses.replace(sc, **{"outputs": ("density",), **change}),
+                         tmp_path / "o")
+        assert str(caught.value) == message
+        assert not any(tmp_path.iterdir())
 
     def test_a_replaced_state_brings_its_own_closed_form(self, tmp_path):
         # with a stored spec beside the state, 1.1 sigma_a kept P = 4 and wrote purity 0.5
@@ -817,7 +840,7 @@ class TestVerify:
         assert res.verified is False
         assert [line for ok, line in res.lines if not ok] == [
             "[fast_pure] propagation-fidelity: FAIL "
-            "(1 - min fidelity = 5.686e-05, tol 1e-06, margin -5.586e-05)"]
+            "(max |1 - fidelity| at t > 0 = 5.686e-05, tol 1e-06, margin -5.586e-05)"]
 
     def test_a_fired_ensemble_guard_reports_its_drift_as_a_check(self, tmp_path, capsys):
         # at sigma_a = 2 sigma_gr doubling the 32 nodes moves the ensemble by 4.224e-04 of peak
@@ -852,10 +875,12 @@ class TestVerify:
         assert all(ok for ok, _ in lines), lines
         assert peak <= 14 * n * n * 16
 
-    def test_nan_value_fails(self):
-        lines = []
-        scenario._check(lines, "s", "some-law", "max error", float("nan"), 1e-8)
-        assert lines == [(False, "[s] some-law: FAIL (max error = nan, tol 1e-08, margin nan)")]
+    def test_nan_value_fails(self, monkeypatch):
+        # verify_scenario is the one judge of a check record: value <= tol, which NaN is not
+        monkeypatch.setattr(scenario, "_verify_pure",
+                            lambda sc: iter([("some-law", "max error", float("nan"), 1e-8)]))
+        assert verify_scenario(parse_one(FAST_PURE)) == [
+            (False, "[fast_pure] some-law: FAIL (max error = nan, tol 1e-08, margin nan)")]
 
     def test_coherent_scenario_with_nonzero_squeeze_phase_passes(self):
         # dA = 0 with any phi_sq is a valid constant-width state; its phase
@@ -1035,12 +1060,16 @@ INVARIANT_VIOLATIONS = (
      "invariant violation: scenario 'w': squeeze (mixing comes from sigma_a) requires a pure "
      "state (P = 1): P = 4.0\n"),
     ({"name": "w", "squeeze": {"A0": 1.0}, "sigma_a": -0.1, "outputs": ["verify"]},
-     "scenario 'w': mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 finite violated: "
-     "sigma_a=-0.1\n"),
+     "scenario 'w': mixing invariant sigma_a >= 0 with sigma_a^2/sigma_gr^2 and P finite "
+     "violated: sigma_a=-0.1\n"),
     # sigma_a**2 overflowed: "sigma_a=1e+200 is out of range: (34, 'Numerical result out of range')"
     ({"name": "w", "squeeze": {"A0": 1.0}, "sigma_a": 1e200, "outputs": ["verify"]},
      "invariant violation: scenario 'w': mixing invariant sigma_a >= 0 with "
-     "sigma_a^2/sigma_gr^2 finite violated: sigma_a=1e+200\n"),
+     "sigma_a^2/sigma_gr^2 and P finite violated: sigma_a=1e+200\n"),
+    # sigma_a^2/sigma_gr^2 = 2e300 but P = inf: the grid's momentum rule used to judge it first
+    ({"name": "big", "squeeze": {"A0": 1.0}, "sigma_a": 1e150, "outputs": ["verify"]},
+     "invariant violation: scenario 'big': mixing invariant sigma_a >= 0 with "
+     "sigma_a^2/sigma_gr^2 and P finite violated: sigma_a=1e+150\n"),
     (dict(FAST_PURE, squeeze={"initial_variance_D": -1.0}),
      "scenario 'fast_pure'.squeeze: initial variance must be a positive"),
     (dict(FAST_PURE, grid={"x_min": -12.0, "x_max": 12.0, "n_points": 8}),
@@ -1179,6 +1208,24 @@ class TestCLI:
         assert self.run_cli("run", cfg, "--out-dir", out) == 2
         assert capsys.readouterr().err == (
             "parse error: scenario 'fast_pure'.outputs lists product 'timeseries' more than once\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"name": "../x"}, "scenario name must match ^[A-Za-z0-9._-]+$: got '../x'"),
+        ({"name": 5}, "scenario name must match ^[A-Za-z0-9._-]+$: got 5"),
+        ({"name": "x\n"}, "scenario name must match ^[A-Za-z0-9._-]+$: got 'x\\n'"),
+        ({"outputs": []}, "scenario 'fast_pure'.outputs must be a non-empty list"),
+        ({"outputs": "verify"}, "scenario 'fast_pure'.outputs must be a non-empty list"),
+        ({"outputs": ["plot"]}, "scenario 'fast_pure'.outputs contains unknown product 'plot'; "
+                                "expected ('timeseries', 'wavefunction', 'density', 'verify')"),
+    ], ids=["escaping-name", "number-name", "newline-name", "no-product", "not-a-list",
+            "unknown-product"])
+    def test_a_bad_name_or_product_list_exit_2(self, tmp_path, capsys, change, message):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_PURE, **change)))
+        out = tmp_path / "o"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"parse error: {message}\n"
         assert not out.exists()
 
     def test_a_boundary_error_names_the_step_of_the_whole_trajectory(self, tmp_path, capsys):

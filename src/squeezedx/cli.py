@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         try:
-            text = args.config.read_text()
+            text = args.config.read_bytes()
         except OSError as exc:
             raise ParseError(f"cannot read config {args.config}: {exc}") from exc
         scenarios = parse_config(text)

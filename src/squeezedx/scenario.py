@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
@@ -92,8 +93,6 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 def _check_keys(obj: dict, allowed: set, required: set, ctx: str) -> None:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx} must be an object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown key(s) in {ctx}: {sorted(unknown)}")
@@ -102,29 +101,27 @@ def _check_keys(obj: dict, allowed: set, required: set, ctx: str) -> None:
         raise ParseError(f"missing required key(s) in {ctx}: {sorted(missing)}")
 
 
-def _finite(v, what: str) -> float:
-    """``v`` as a finite float; a ParseError otherwise, also for integers too large for a float."""
-    try:
-        if not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v):
-            return float(v)
-    except OverflowError:
-        pass
-    raise ParseError(f"{what} must be a number (finite), got {v!r}")
+# the JSON types each kind of config value may take, and what a refusal says it must be
+_KINDS = {"number": ((int, float), "a number (finite)"), "integer": ((int,), "an integer"),
+          "string": ((str,), "a string"), "boolean": ((bool,), "a boolean"),
+          "list": ((list,), "a non-empty list"), "object": ((dict,), "an object")}
 
 
-def _number(obj: dict, key: str, ctx: str, default=None) -> float:
-    if key not in obj:
+def _read(obj, key, ctx: str, kind: str, default=MISSING):
+    """``obj[key]`` as a value of ``kind``, a number as a float, or ``default`` if one is given
+    and the key is absent.  The parser's one test of a JSON type: it refuses any other value
+    with "<ctx>.<key> must be <kind>, got <value>", or "<ctx>[<index>] ..." in a list."""
+    if default is not MISSING and key not in obj:
         return default
-    return _finite(obj[key], f"{ctx}.{key}")
-
-
-def _integer(obj: dict, key: str, ctx: str, default=None) -> int:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{ctx}.{key} must be an integer, got {v!r}")
-    return v
+    value, (types, what) = obj[key], _KINDS[kind]
+    try:  # type(), not isinstance(): true and false are neither numbers nor integers
+        ok = type(value) in types and (kind != "number" or math.isfinite(value))
+    except OverflowError:  # an integer past the float range
+        ok = False
+    if not ok or value == []:  # a list must not be empty
+        where = f"{ctx}[{key}]" if type(key) is int else f"{ctx}.{key}"
+        raise ParseError(f"{where} must be {what}, got {value!r}")
+    return float(value) if kind == "number" else value
 
 
 def _named(ctx: str, build, *args, **kwargs):
@@ -135,7 +132,7 @@ def _named(ctx: str, build, *args, **kwargs):
         raise type(exc)(f"{ctx}: {exc}") from exc
 
 
-def _section(cls, obj, ctx: str):
+def _section(cls, obj: dict, ctx: str):
     """Build the dataclass ``cls`` from a config section.
 
     The fields of ``cls`` are the allowed keys, those without a default are
@@ -144,8 +141,8 @@ def _section(cls, obj, ctx: str):
     """
     keys = fields(cls)
     _check_keys(obj, {f.name for f in keys}, {f.name for f in keys if f.default is MISSING}, ctx)
-    return _named(ctx, cls, **{f.name: (_integer if f.type == "int" else _number)(obj, f.name, ctx)
-                               for f in keys if f.name in obj})
+    return _named(ctx, cls, **{f.name: _read(obj, f.name, ctx, "integer" if f.type == "int"
+                                             else "number") for f in keys if f.name in obj})
 
 
 @dataclass(frozen=True)
@@ -259,74 +256,76 @@ def _parse_scenario(obj: dict) -> Scenario:
 
     ctx = f"scenario {obj['name']!r}"
 
-    osc = _section(OscillatorConfig, obj.get("oscillator", {}), f"{ctx}.oscillator")
+    osc = _section(OscillatorConfig, _read(obj, "oscillator", ctx, "object", {}),
+                   f"{ctx}.oscillator")
 
-    sq_obj = obj["squeeze"]
-    if isinstance(sq_obj, dict) and "initial_variance_D" in sq_obj:
+    sq_obj = _read(obj, "squeeze", ctx, "object")
+    if "initial_variance_D" in sq_obj:
         _check_keys(sq_obj, {"initial_variance_D"}, {"initial_variance_D"}, f"{ctx}.squeeze")
         squeeze = _named(f"{ctx}.squeeze", squeeze_from_initial_variance,
-                         _number(sq_obj, "initial_variance_D", f"{ctx}.squeeze"), osc)
+                         _read(sq_obj, "initial_variance_D", f"{ctx}.squeeze", "number"), osc)
     else:
         squeeze = _section(SqueezeDynamics, sq_obj, f"{ctx}.squeeze")
 
-    center = _section(CenterTrajectory, obj.get("center", {}), f"{ctx}.center")
+    center = _section(CenterTrajectory, _read(obj, "center", ctx, "object", {}), f"{ctx}.center")
 
     state = _named(ctx, MixedGaussianSpec, GaussianStateSpec(osc, squeeze, center),
-                   _number(obj, "sigma_a", ctx, 0.0))
+                   _read(obj, "sigma_a", ctx, "number", 0.0))
 
     if "grid" not in obj:
         grid = _named(f"{ctx}.grid", GridSpec.for_state, reparameterize(state),
                       256 if state.sigma_a > 0 else 1024)
     else:
-        grid = _section(GridSpec, obj["grid"], f"{ctx}.grid")
+        grid = _section(GridSpec, _read(obj, "grid", ctx, "object"), f"{ctx}.grid")
 
-    p_obj = obj.get("propagator", {})
+    p_obj = _read(obj, "propagator", ctx, "object", {})
     _check_keys(p_obj, {"scheme", "dt"}, set(), f"{ctx}.propagator")
-    scheme = p_obj.get("scheme", "spectral-split-step")
-    if not isinstance(scheme, str):
-        raise ParseError(f"{ctx}.propagator.scheme must be a string, got {scheme!r}")
-    dt = _number(p_obj, "dt", f"{ctx}.propagator", osc.period / 8192.0)
+    scheme = _read(p_obj, "scheme", f"{ctx}.propagator", "string", "spectral-split-step")
+    dt = _read(p_obj, "dt", f"{ctx}.propagator", "number", osc.period / 8192.0)
 
     if "sample_times" not in obj:
         times = tuple(k * osc.period / 64.0 for k in range(64))
     else:
-        times_obj = obj["sample_times"]
-        if not isinstance(times_obj, list) or not times_obj:
-            raise ParseError(f"{ctx}.sample_times must be a non-empty list of numbers")
-        times = tuple(_finite(v, f"{ctx}.sample_times entry") for v in times_obj)
-
-    outputs = obj["outputs"]
-    if not isinstance(outputs, list):
-        raise ParseError(f"{ctx}.outputs must be a non-empty list")
-
-    ensemble_nodes = _integer(obj, "ensemble_nodes", ctx, 32)
-    mc_check = obj.get("mc_check", False)
-    if not isinstance(mc_check, bool):
-        raise ParseError(f"{ctx}.mc_check must be a boolean")
+        entries = _read(obj, "sample_times", ctx, "list")
+        times = tuple(_read(entries, i, f"{ctx}.sample_times", "number")
+                      for i in range(len(entries)))
 
     return Scenario(name=obj["name"], state=state, grid=grid, scheme=scheme, dt=dt,
-                    sample_times=times, outputs=tuple(outputs),
-                    ensemble_nodes=ensemble_nodes, mc_check=mc_check)
+                    sample_times=times, outputs=tuple(_read(obj, "outputs", ctx, "list")),
+                    ensemble_nodes=_read(obj, "ensemble_nodes", ctx, "integer", 32),
+                    mc_check=_read(obj, "mc_check", ctx, "boolean", False))
 
 
-def parse_config(text: str) -> list:
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a ParseError if it repeats a key, whose meaning RFC 8259
+    leaves open (``json`` alone would keep the last value)."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ParseError(f"a config object repeats key(s) {repeated}")
+    return obj
+
+
+def parse_config(text: str | bytes) -> list:
     """Parse a config document into scenarios.
 
-    The document is either a single scenario object or {"scenarios": [...]}.
+    The document is either a single scenario object or {"scenarios": [...]}, as text or as
+    bytes in UTF-8, UTF-16 or UTF-32, which ``json`` detects.
     """
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also integer literals beyond Python's digit limit
+        root = json.loads(text, object_pairs_hook=_unique_keys)
+    except ParseError:
+        raise
+    except (ValueError, RecursionError) as exc:  # also bad bytes, huge integers, deep nesting
         raise ParseError(f"config is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and "scenarios" in doc:
+    doc = _read({"root": root}, "root", "config", "object")
+    if "scenarios" in doc:
         _check_keys(doc, {"scenarios"}, {"scenarios"}, "config")
-        if not isinstance(doc["scenarios"], list) or not doc["scenarios"]:
-            raise ParseError("config.scenarios must be a non-empty list")
-        scenarios = [_parse_scenario(o) for o in doc["scenarios"]]
-    elif isinstance(doc, dict):
-        scenarios = [_parse_scenario(doc)]
+        entries = _read(doc, "scenarios", "config", "list")
+        scenarios = [_parse_scenario(_read(entries, i, "config.scenarios", "object"))
+                     for i in range(len(entries))]
     else:
-        raise ParseError(f"config root must be an object, got {type(doc).__name__}")
+        scenarios = [_parse_scenario(doc)]
     names = [s.name for s in scenarios]
     if len(set(names)) != len(names):
         raise ParseError(f"scenario names must be unique: {names}")
@@ -397,7 +396,7 @@ def read_density_dump(path: Path) -> DensityMatrixSample:
     No CLI path calls it; it is public as the reference that the tests read the
     dump writer's files back through and compare with the matrix written.
     """
-    with open(path) as fh:
+    with open(path, encoding="ascii", errors="replace") as fh:  # a bad byte is not a number
         header = fh.readline().strip().split(",")
         if len(header) != 4:
             raise ParseError(f"density dump header must have 4 fields: {header}")

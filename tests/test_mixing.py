@@ -380,9 +380,11 @@ class TestEnsembleAverage:
 
 
 class TestMemberColumns:
-    # the last mixed state's momenta need 1252 points, and its farthest member's 1268
+    # the last mixed state's momenta need 1252 points, and its farthest member's 1268; its
+    # N x N projector comparisons take about 7.5 s
     @pytest.mark.parametrize("A0, phi_sq, X_ratio, n_points", [
-        (1.5, 0.0, 1.0, 512), (1.5, np.pi, 20.0, 512), (5.0, np.pi - 0.01, 30.0, 1280)])
+        (1.5, 0.0, 1.0, 512), (1.5, np.pi, 20.0, 512),
+        pytest.param(5.0, np.pi - 0.01, 30.0, 1280, marks=pytest.mark.slow)])
     def test_columns_are_the_members(self, A0, phi_sq, X_ratio, n_points):
         # each column is the pure state whose center starts at the member's
         # initial center, up to a phase: compare the projectors

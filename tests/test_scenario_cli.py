@@ -557,6 +557,89 @@ class TestParserFuzz:
             pass
 
 
+# A scenario with every key: with FAST_PURE (the initial_variance_D form) it holds every key
+# path the parser reads.
+FULL = dict(FAST_PURE, name="full",
+            oscillator={"mass": 1.0, "angular_frequency": 1.0, "hbar": 1.0},
+            squeeze={"A0": 1.25, "dA": 0.75, "phi_sq": 0.0}, center={"X_amp": 0.5, "phi_c": 0.0},
+            sigma_a=0.0, propagator={"scheme": "spectral-split-step", "dt": 2 * np.pi / 1024},
+            ensemble_nodes=32, mc_check=False)
+
+# The kind read at each key path, a list index written "[i]"; the name and the product
+# names are Scenario's to judge, not the reader's.
+READ_AS = {
+    (): "object", ("scenarios",): "list", ("scenarios", "[i]"): "object",
+    **{("scenarios", "[i]") + path: kind for path, kind in {
+        ("oscillator",): "object", ("oscillator", "mass"): "number",
+        ("oscillator", "angular_frequency"): "number", ("oscillator", "hbar"): "number",
+        ("squeeze",): "object", ("squeeze", "A0"): "number", ("squeeze", "dA"): "number",
+        ("squeeze", "phi_sq"): "number", ("squeeze", "initial_variance_D"): "number",
+        ("center",): "object", ("center", "X_amp"): "number", ("center", "phi_c"): "number",
+        ("sigma_a",): "number",
+        ("grid",): "object", ("grid", "x_min"): "number", ("grid", "x_max"): "number",
+        ("grid", "n_points"): "integer",
+        ("propagator",): "object", ("propagator", "scheme"): "string",
+        ("propagator", "dt"): "number",
+        ("sample_times",): "list", ("sample_times", "[i]"): "number",
+        ("outputs",): "list", ("ensemble_nodes",): "integer", ("mc_check",): "boolean",
+    }.items()},
+}
+
+# What a refusal says each kind must be, and values of every other JSON type
+KINDS = {
+    "number": ("a number (finite)", [None, True, False, "1", [], [1.0], {}, float("nan"),
+                                     float("inf"), -float("inf"), 10**400, -10**400]),
+    "integer": ("an integer", [None, True, False, "1", [], [1], {}, 1.5, 2.0, 1e300]),
+    "string": ("a string", [None, True, 1, 1.5, [], ["x"], {}]),
+    "boolean": ("a boolean", [None, 0, 1, 1.5, "true", [], [True], {}]),
+    "list": ("a non-empty list", [None, True, 1, 1.5, "verify", [], {}]),
+    "object": ("an object", [None, True, 1, 1.5, "x", [], [{}]]),
+}
+
+
+def _key_paths(obj, prefix=()):
+    """Every key/index path of a config but the name and the product names."""
+    if prefix[-1:] == ("name",) or prefix[-2:-1] == ("outputs",):
+        return []
+    items = (obj.items() if isinstance(obj, dict) else
+             enumerate(obj) if isinstance(obj, list) else ())
+    return [prefix] + [path for key, value in items for path in _key_paths(value, prefix + (key,))]
+
+
+class TestTypedReader:
+    DOC = {"scenarios": [FULL, FAST_PURE]}
+    PATHS = _key_paths(DOC)
+
+    def test_the_table_has_every_key_path(self):
+        assert len(parse_config(json.dumps(self.DOC))) == 2
+        normal = {tuple("[i]" if isinstance(k, int) else k for k in path) for path in self.PATHS}
+        assert normal == set(READ_AS)
+
+    @pytest.mark.parametrize("path", PATHS, ids=lambda path: "/".join(map(str, path)) or "root")
+    def test_a_value_of_another_json_type_is_refused_naming_its_key(self, path):
+        kind = READ_AS[tuple("[i]" if isinstance(k, int) else k for k in path)]
+        if len(path) <= 2:
+            where = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                                       for k in path or ("root",))
+        else:
+            where = f"scenario {self.DOC['scenarios'][path[1]]['name']!r}" + "".join(
+                f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[2:])
+        what, wrong = KINDS[kind]
+        for value in wrong:
+            doc = json.loads(json.dumps(self.DOC))  # a copy that shares no section
+            if path:
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+            else:
+                doc = value
+            with pytest.raises(sx.ParseError) as caught:
+                parse_config(json.dumps(doc))
+            got = json.loads(json.dumps(value))
+            assert str(caught.value) == f"{where} must be {what}, got {got!r}"
+
+
 # Float-range extremes that every number of a run-time fuzz config may take.
 RUN_EXTREMES = (1e-320, 1e-12, 1e6, 1e150, 1e300, 1.7e308)
 
@@ -987,6 +1070,17 @@ class TestDumps:
         with pytest.raises(sx.ParseError, match=f"{part} field is not a number: .*'abc'"):
             read_density_dump(path)
 
+    @pytest.mark.parametrize("offset", [0, 15], ids=["header", "body"])
+    def test_density_dump_with_an_undecodable_byte_is_a_parse_error(self, tmp_path, offset):
+        from squeezedx.scenario import write_density_dump
+        path = tmp_path / "dump.csv"
+        write_density_dump(density_at(parse_one(FAST_MIXED), 0.0), path)
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xff
+        path.write_bytes(bytes(data))
+        with pytest.raises(sx.ParseError, match="field is not a number"):
+            read_density_dump(path)
+
     def test_wavefunction_dump(self, tmp_path):
         run2 = dict(FAST_PURE, outputs=["wavefunction"])
         res = run_scenario(parse_one(run2), tmp_path)
@@ -1214,8 +1308,9 @@ class TestCLI:
         ({"name": "../x"}, "scenario name must match ^[A-Za-z0-9._-]+$: got '../x'"),
         ({"name": 5}, "scenario name must match ^[A-Za-z0-9._-]+$: got 5"),
         ({"name": "x\n"}, "scenario name must match ^[A-Za-z0-9._-]+$: got 'x\\n'"),
-        ({"outputs": []}, "scenario 'fast_pure'.outputs must be a non-empty list"),
-        ({"outputs": "verify"}, "scenario 'fast_pure'.outputs must be a non-empty list"),
+        ({"outputs": []}, "scenario 'fast_pure'.outputs must be a non-empty list, got []"),
+        ({"outputs": "verify"},
+         "scenario 'fast_pure'.outputs must be a non-empty list, got 'verify'"),
         ({"outputs": ["plot"]}, "scenario 'fast_pure'.outputs contains unknown product 'plot'; "
                                 "expected ('timeseries', 'wavefunction', 'density', 'verify')"),
     ], ids=["escaping-name", "number-name", "newline-name", "no-product", "not-a-list",
@@ -1266,6 +1361,27 @@ class TestCLI:
             cfg.write_text(json.dumps(bad))
             assert self.run_cli("run", cfg, "--out-dir", out) == 2
             assert not list(out.glob("*"))
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"name": "d", "squeeze": {"A0": 1.0}, "grid": {"x_min": -12, "x_max": 12, '
+         b'"n_points": 64}, "sample_times": [0.0, 0.5], "outputs": ["verify"], '
+         b'"outputs": ["timeseries"]}', "a config object repeats key(s) ['outputs']"),
+        (b'{"name": "d", "squeeze": {"A0": 5.0, "A0": 1.0}, "grid": {"x_min": -12, "x_max": 12, '
+         b'"n_points": 64}, "sample_times": [0.0, 0.5], "outputs": ["timeseries"]}',
+         "a config object repeats key(s) ['A0']"),
+        (b'\xff\xfe{"name": "x"}', "config is not valid JSON: "),
+        (b"[" * 200_000, "config is not valid JSON: maximum recursion depth exceeded"),
+        (b'{"name": "d", "outputs": ["timeseries"], "squeeze": ' + b'{"A0": ' * 50_000 + b"1"
+         + b"}" * 50_001, "config is not valid JSON: maximum recursion depth exceeded"),
+    ], ids=["repeated-key", "repeated-squeeze-key", "not-utf-8", "deep-list", "deep-squeeze"])
+    def test_an_unreadable_document_exit_2(self, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "sc.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "o"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"parse error: {message}"), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["oscillator", "center", "sigma_a", "grid", "propagator",
                                      "sample_times", "ensemble_nodes", "mc_check"])

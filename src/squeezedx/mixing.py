@@ -27,7 +27,9 @@ from .states import (
     GaussianStateSpec,
     GridSpec,
     SqueezeDynamics,
+    TILE_VALUES,
     _gaussian_density,
+    _peak_relative_error,
     _require_pure,
     _tiles,
     center_state,
@@ -47,9 +49,8 @@ __all__ = [
 CONVERGENCE_TOL = 1e-8
 # Fewest Gauss-Hermite nodes per axis an ensemble average may use.
 MIN_ENSEMBLE_NODES = 16
-# Most member values (points x members) in one block: 8 MiB of complex plane waves
-# and 8 MiB of real [C | S] columns.
-BLOCK_VALUES = 2**19
+# Most member values (points x members) in one block: 4 MiB of real [C | S] columns.
+BLOCK_VALUES = 2**18
 # Monte Carlo seed when none is given.
 DEFAULT_SEED = 12345
 
@@ -114,8 +115,7 @@ def _row_factor(spec: MixedGaussianSpec, grid: GridSpec, t: float) -> np.ndarray
 
 
 def _member_block(spec: MixedGaussianSpec, grid: GridSpec, t: float, dx0: np.ndarray,
-                  dp0: np.ndarray, half_log_w: np.ndarray, plane: np.ndarray,
-                  out: np.ndarray) -> None:
+                  dp0: np.ndarray, half_log_w: np.ndarray, out: np.ndarray) -> None:
     """Write ensemble members, less their shared row factor, into ``out`` = [C | S].
 
     Each initial center offset rotates classically to time t.  With
@@ -127,10 +127,10 @@ def _member_block(spec: MixedGaussianSpec, grid: GridSpec, t: float, dx0: np.nda
     |psi><psi|.  Member m's column a_m = sqrt(w_m) exp(-(x-x_c)^2/w) exp(ikx)
     carries its weight in the Gaussian's exponent (``half_log_w`` = log(w_m)/2);
     its real part goes to column m of ``out`` and its imaginary part to
-    column M + m, for M members.  ``plane`` is an (N, M) complex buffer for
-    the plane waves.  With L = ceil(sqrt(N)), the plane wave at x_0 + (aL + b)h
-    is a coarse table entry (a) times a fine one (b), so a member costs about
-    2 sqrt(N) complex exponentials, not N.
+    column M + m, for M members.  With L = ceil(sqrt(N)), the plane wave at
+    x_0 + (aL + b)h is a coarse table entry (a) times a fine one (b), so a member
+    costs about 2 sqrt(N) complex exponentials, not N.  Strips of whole coarse rows hold
+    at most TILE_VALUES plane waves (or one row), with a whole block's arithmetic.
     """
     base = spec.base
     osc = base.osc
@@ -145,20 +145,20 @@ def _member_block(spec: MixedGaussianSpec, grid: GridSpec, t: float, dx0: np.nda
 
     n, h, m = grid.n_points, grid.spacing, k.size
     L = math.isqrt(n - 1) + 1
-    rows = n // L  # full coarse rows; the last one may be ragged
     coarse = np.exp(1j * (grid.x_min + np.arange(-(-n // L)) * L * h)[:, None] * k)
     fine = np.exp(1j * (np.arange(L) * h)[:, None] * k)
-    np.multiply(coarse[:rows, None], fine, out=plane[:rows * L].reshape(rows, L, m))
-    np.multiply(coarse[rows:], fine[:n - rows * L], out=plane[rows * L:])
-
-    gauss = out[:, m:]  # the Gaussian, then S in place
     r = 1.0 / math.sqrt(w)
-    np.subtract.outer(grid.points() * r, xc * r, out=gauss)
-    np.square(gauss, out=gauss)
-    np.subtract(half_log_w, gauss, out=gauss)
-    np.exp(gauss, out=gauss)
-    np.multiply(gauss, plane.real, out=out[:, :m])
-    gauss *= plane.imag
+    x = grid.points() * r
+    for strip in _tiles(coarse.shape[0], L * m, TILE_VALUES):
+        a, b = strip.start * L, min(strip.stop * L, n)  # the last coarse row may be ragged
+        plane = (coarse[strip, None] * fine).reshape(-1, m)[:b - a]
+        gauss = out[a:b, m:]  # the Gaussian, then S in place
+        np.subtract.outer(x[a:b], xc * r, out=gauss)
+        np.square(gauss, out=gauss)
+        np.subtract(half_log_w, gauss, out=gauss)
+        np.exp(gauss, out=gauss)
+        np.multiply(gauss, plane.real, out=out[a:b, :m])
+        gauss *= plane.imag
 
 
 def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -169,32 +169,30 @@ def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     a column of ``_member_block``, so the sum is R R^H times
     sum_m a_m a_m^H = X X^T + i(S C^T - (S C^T)^T) for each block X = [C | S].
     X X^T is a real symmetric rank-k update (BLAS syrk); R R^H is applied once,
-    at the end.  The block buffers and the two real N x N sums are allocated
-    once per call, and the result is exactly Hermitian.
+    at the end, one row tile at a time.  The block buffer and the two real N x N
+    sums are allocated once per call, and the result is exactly Hermitian.
     """
     n = grid.n_points
     members = _tiles(dx0.size, n, BLOCK_VALUES)
     half_log_w = np.broadcast_to(0.5 * log_w, dx0.shape)
-    plane = np.empty(n * members[0].stop, dtype=complex)
     blocks = np.empty(2 * n * members[0].stop)
-    re = np.zeros((n, n))
-    im = np.zeros((n, n))
+    re, im = np.zeros((2, n, n))
     for block in members:
         m = block.stop - block.start
         X = blocks[:2 * n * m].reshape(n, 2 * m)
-        _member_block(spec, grid, t, dx0[block], dp0[block], half_log_w[block],
-                      plane[:n * m].reshape(n, m), X)
+        _member_block(spec, grid, t, dx0[block], dp0[block], half_log_w[block], X)
         re += X @ X.T
         im += X[:, m:] @ X[:, :m].T
+    del blocks, X  # before rho, the peak of a call
     # R R^H and the member sum in real arithmetic, each part exactly (anti)symmetric
-    im -= im.T
     R = _row_factor(spec, grid, t)
-    rr = np.outer(R.real, R.real) + np.outer(R.imag, R.imag)
-    ri = np.outer(R.imag, R.real)
-    ri -= ri.T
     rho = np.empty((n, n), dtype=complex)
-    rho.real = rr * re - ri * im
-    rho.imag = rr * im + ri * re
+    for rows in _tiles(n, n, TILE_VALUES):
+        rr = np.outer(R.real[rows], R.real) + np.outer(R.imag[rows], R.imag)
+        ri = np.outer(R.imag[rows], R.real) - np.outer(R.real[rows], R.imag)
+        anti = im[rows] - im[:, rows].T
+        rho[rows].real = rr * re[rows] - ri * anti
+        rho[rows].imag = rr * anti + ri * re[rows]
     return rho
 
 
@@ -208,15 +206,6 @@ def _gauss_hermite_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     dx0, dp0 = np.meshgrid(scale_x * xi, scale_p * xi, indexing="ij")
     return _ensemble_sum(spec, grid, t, dx0.ravel(), dp0.ravel(),
                          np.add.outer(log_wt, log_wt).ravel())
-
-
-def _monte_carlo_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
-                         n_samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
-    dx0 = rng.normal(0.0, spec.sigma_a, n_samples)
-    dp0 = rng.normal(0.0, m_om * spec.sigma_a, n_samples)
-    return _ensemble_sum(spec, grid, t, dx0, dp0, -math.log(n_samples))
 
 
 def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
@@ -233,21 +222,21 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     node-doubled rule and a ConvergenceError is raised if they disagree beyond
     CONVERGENCE_TOL relative to the matrix peak.
     """
-    target = reparameterize(spec)
-    grid.require_coverage(target)
+    grid.require_coverage(reparameterize(spec))
     if method == "monte-carlo":
         if n_samples < 1:
             raise InvariantError(f"Monte Carlo ensemble requires n_samples >= 1: got {n_samples}")
-        rho = _monte_carlo_density(spec, grid, t, n_samples, seed)
+        rng = np.random.default_rng(seed)  # dx0, then dp0 with spread m omega sigma_a
+        m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
+        rho = _ensemble_sum(spec, grid, t, rng.normal(0.0, spec.sigma_a, n_samples),
+                            rng.normal(0.0, m_om * spec.sigma_a, n_samples), -math.log(n_samples))
     elif method == "gauss-hermite":
         if n_nodes < MIN_ENSEMBLE_NODES:
             raise InvariantError(f"ensemble quadrature requires n_nodes >= {MIN_ENSEMBLE_NODES} "
                                  f"per axis: got {n_nodes}")
         rho = _gauss_hermite_density(spec, grid, t, n_nodes)
         if check_convergence:
-            rho_fine = _gauss_hermite_density(spec, grid, t, 2 * n_nodes)
-            peak = np.abs(rho_fine).max()
-            drift = np.abs(rho - rho_fine).max() / peak
+            drift = _peak_relative_error(rho, _gauss_hermite_density(spec, grid, t, 2 * n_nodes))
             if drift > CONVERGENCE_TOL:
                 raise ConvergenceError(
                     f"ensemble quadrature not converged at {n_nodes} nodes/axis: "

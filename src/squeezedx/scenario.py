@@ -37,6 +37,7 @@ from .states import (
     GridSpec,
     OscillatorConfig,
     SqueezeDynamics,
+    _peak_relative_error,
     accumulated_phase,
     center_state,
     eval_pure_density,
@@ -72,14 +73,14 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # Bounds that Scenario checks before anything is allocated.  One N x N complex density at
 # 4096 points takes 256 MiB, and a timeseries row adds only tiles of states.TILE_VALUES to
 # it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
-# A mixed verify holds its probe densities, the ensemble sums and the guard's node-doubled
-# sum at once (tracemalloc): 13.2 densities at 512 points, 9.3 (592.8 MiB) at 2048.  At 4096
-# that would be about 2.3 GiB for each of up to 4 scenarios in the pool, so mixed grids stop
-# at 2048 points.  2**20 steps are 128 periods at dt = T/8192; 128 nodes per axis let the
-# node-doubling guard sum at most 256**2 = 65,536 members.
+# A mixed verify peaks at 5.0 densities (tracemalloc; 321.6 MiB at 2048 points): about 1.3 GiB
+# for each of up to 4 pooled scenarios at 4096, not measured, so mixed grids stop at 2048.
+# 2**20 steps are 128 periods at dt = T/8192, 2**12 sample times 64 periods at 64 per period;
+# 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536 members.
 MAX_GRID_POINTS = 4096
 MAX_MIXED_GRID_POINTS = 2048
 MAX_STEPS = 2**20
+MAX_SAMPLE_TIMES = 2**12
 MAX_ENSEMBLE_NODES = 128
 
 
@@ -120,7 +121,9 @@ def _read(obj, key, ctx: str, kind: str, default=MISSING):
         ok = False
     if not ok or value == []:  # a list must not be empty
         where = f"{ctx}[{key}]" if type(key) is int else f"{ctx}.{key}"
-        raise ParseError(f"{where} must be {what}, got {value!r}")
+        got = repr(value)  # at most 500 characters: a huge value still makes a readable line
+        got = got if len(got) <= 500 else got[:497] + "..."
+        raise ParseError(f"{where} must be {what}, got {got}")
     return float(value) if kind == "number" else value
 
 
@@ -176,6 +179,8 @@ class Scenario:
         if grid.n_points > (bound := MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_GRID_POINTS):
             raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {bound}")
         _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt=dt, n_steps=1)
+        if len(times) > MAX_SAMPLE_TIMES:
+            raise InvariantError(f"{ctx}: {len(times)} sample_times, more than {MAX_SAMPLE_TIMES}")
         if not times or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(f"{ctx}: sample_times must be non-empty and strictly increasing")
         if self.steps:  # the trajectory is stepped from t = 0 to step round(t/dt) of each time
@@ -470,14 +475,13 @@ def _verify_mixed(sc: Scenario, seed: int):
     pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
     yield "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5
 
+    del dms[1:-1]  # the middle probe's matrix, which no other check reads
     try:
-        ens_err = 0.0
         # the first and last probes: at the middle one, T/2 when a period is sampled evenly,
         # the members' rotation is -1 and their shape that of t = 0, so a wrong rotation passes
-        for t, dm in {probe[0]: dms[0], probe[-1]: dms[-1]}.items():
-            ens = ensemble_average_density(sc.state, sc.grid, t, sc.ensemble_nodes)
-            peak = float(np.abs(dm.values).max())
-            ens_err = max(ens_err, float(np.abs(ens.values - dm.values).max()) / peak)
+        ens_err = max(_peak_relative_error(ensemble_average_density(
+            sc.state, sc.grid, t, sc.ensemble_nodes).values, dm.values)
+            for t, dm in {probe[0]: dms[0], probe[-1]: dms[-1]}.items())
     except ConvergenceError as exc:
         yield ("ensemble-agreement", f"node-doubling drift at {sc.ensemble_nodes} nodes",
                exc.drift, CONVERGENCE_TOL)

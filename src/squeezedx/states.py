@@ -280,6 +280,13 @@ def _tiles(count: int, size: int, budget: int) -> list:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
+def _peak_relative_error(values: np.ndarray, reference: np.ndarray) -> float:
+    """max |values - reference| / max |reference|, maxima of N x N matrices over row tiles."""
+    tiles = _tiles(len(reference), len(reference), TILE_VALUES)
+    return float(np.max([np.abs(values[rows] - reference[rows]).max() for rows in tiles])
+                 / np.max([np.abs(reference[rows]).max() for rows in tiles]))
+
+
 def _own_pages(n: int) -> np.ndarray:
     """An n x n complex array in its own anonymous memory mapping, unmapped when it is freed.
 

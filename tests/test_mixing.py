@@ -73,6 +73,61 @@ def complex_gemm_sum(spec, grid, t, dx0, dp0, weights):
     return rho
 
 
+def whole_block_members(spec, grid, t, dx0, dp0, half_log_w, plane, out):
+    """mixing._member_block before its strips: the plane waves of the whole block in one
+    (N, M) complex buffer ``plane``, then each step on the whole block.  The strip builder's
+    reference, bit for bit."""
+    osc = spec.base.osc
+    m_om = osc.mass * osc.angular_frequency
+    A, B = sx.quadrature_shape(spec.base.squeeze, osc.angular_frequency, t)
+    xbar, pbar = sx.center_state(spec.base.center, osc, t)
+    c, s = np.cos(osc.angular_frequency * t), np.sin(osc.angular_frequency * t)
+    xc = xbar + dx0 * c + dp0 * s / m_om
+    pc = pbar + dp0 * c - dx0 * m_om * s
+    w = 4.0 * osc.ground_variance * A
+    k = 2.0 * B * xc / w + pc / osc.hbar
+    n, h, m = grid.n_points, grid.spacing, k.size
+    L = math.isqrt(n - 1) + 1
+    rows = n // L
+    coarse = np.exp(1j * (grid.x_min + np.arange(-(-n // L)) * L * h)[:, None] * k)
+    fine = np.exp(1j * (np.arange(L) * h)[:, None] * k)
+    np.multiply(coarse[:rows, None], fine, out=plane[:rows * L].reshape(rows, L, m))
+    np.multiply(coarse[rows:], fine[:n - rows * L], out=plane[rows * L:])
+    gauss = out[:, m:]
+    r = 1.0 / math.sqrt(w)
+    np.subtract.outer(grid.points() * r, xc * r, out=gauss)
+    np.square(gauss, out=gauss)
+    np.subtract(half_log_w, gauss, out=gauss)
+    np.exp(gauss, out=gauss)
+    np.multiply(gauss, plane.real, out=out[:, :m])
+    gauss *= plane.imag
+
+
+def whole_matrix_sum(spec, grid, t, dx0, dp0, log_w):
+    """mixing._ensemble_sum before its strips and tiles: ``whole_block_members`` for each
+    block of mixing.BLOCK_VALUES, and R R^H applied through whole N x N matrices."""
+    n = grid.n_points
+    members = mixing._tiles(dx0.size, n, mixing.BLOCK_VALUES)
+    half_log_w = np.broadcast_to(0.5 * log_w, dx0.shape)
+    re, im = np.zeros((n, n)), np.zeros((n, n))
+    for block in members:
+        m = block.stop - block.start
+        X = np.empty((n, 2 * m))
+        whole_block_members(spec, grid, t, dx0[block], dp0[block], half_log_w[block],
+                            np.empty((n, m), dtype=complex), X)
+        re += X @ X.T
+        im += X[:, m:] @ X[:, :m].T
+    im -= im.T
+    R = mixing._row_factor(spec, grid, t)
+    rr = np.outer(R.real, R.real) + np.outer(R.imag, R.imag)
+    ri = np.outer(R.imag, R.real)
+    ri -= ri.T
+    rho = np.empty((n, n), dtype=complex)
+    rho.real = rr * re - ri * im
+    rho.imag = rr * im + ri * re
+    return rho
+
+
 def ensemble_members(ms, method, count):
     """dx0, dp0, weights and log weights of ``count``**2 Gauss-Hermite nodes or ``count``
     Monte Carlo samples."""
@@ -116,6 +171,14 @@ def block_count(n: int, method: str, count: int, block_values: int) -> int:
     return len(mixing._tiles(members, n, block_values))
 
 
+# (n, method, count, block_values, tile_values) of a sum of at most 2**9 blocks: one-member
+# blocks, strips and tiles of one row, many blocks, and the defaults
+STRIP_SHAPES = st.tuples(
+    st.integers(16, 97), st.sampled_from(["gauss-hermite", "monte-carlo"]), st.integers(1, 40),
+    st.one_of(st.just(1), st.just(mixing.BLOCK_VALUES), st.integers(2, 40 * 97)),
+    st.one_of(st.just(1), st.just(mixing.TILE_VALUES), st.integers(2, 2**12)),
+).filter(lambda shape: block_count(*shape[:4]) <= 2**9)
+
 # (n, method, count, block_values) of an ensemble sum of at most DRAWN_BLOCKS blocks
 ENSEMBLE_SHAPES = st.tuples(
     st.integers(16, 97), st.sampled_from(["gauss-hermite", "monte-carlo"]), st.integers(1, 300),
@@ -128,8 +191,7 @@ def member_columns(spec, grid, t, dx0, dp0, weights):
     shared row factor, divided by sqrt(w_m)."""
     n, m = grid.n_points, dx0.size
     out = np.empty((n, 2 * m))
-    mixing._member_block(spec, grid, t, dx0, dp0, 0.5 * np.log(weights),
-                         np.empty((n, m), dtype=complex), out)
+    mixing._member_block(spec, grid, t, dx0, dp0, 0.5 * np.log(weights), out)
     a = (out[:, :m] + 1j * out[:, m:]) / np.sqrt(weights)
     return mixing._row_factor(spec, grid, t)[:, None] * a
 
@@ -473,6 +535,38 @@ class TestEnsembleBlocks:
         assert np.abs(rho - ref).max() <= rank_k_bound(np.abs(ref).max(), block_count(*shape))
         assert np.array_equal(rho, rho.conj().T)
 
+    @given(shape=STRIP_SHAPES,
+           A0=st.floats(1.0, 3.0), phi_sq=st.floats(0.0, np.pi), X_ratio=st.floats(0.0, 3.0),
+           phi_c=st.floats(0.0, 2 * np.pi), s_ratio=st.floats(0.1, 1.5), t=st.floats(0.0, T))
+    # n = 63: L = 8 and a last coarse row of 7 points; strips of one coarse row, below budget
+    @example(shape=(63, "monte-carlo", 40, 1, 1), A0=1.25, phi_sq=2.0, X_ratio=2.0, phi_c=0.3,
+             s_ratio=0.6, t=4.0)
+    @example(shape=(64, "gauss-hermite", 17, 100 * 64, 3 * 8 * 100), A0=1.5, phi_sq=0.4,
+             X_ratio=1.0, phi_c=1.0, s_ratio=1.0, t=1.3)  # 3 blocks, strips of 3 coarse rows
+    @example(shape=(97, "gauss-hermite", 32, mixing.BLOCK_VALUES, mixing.TILE_VALUES),
+             A0=1.0, phi_sq=0.0, X_ratio=0.0, phi_c=0.0, s_ratio=1.0, t=0.0)  # the defaults
+    @settings(max_examples=40, deadline=None)
+    def test_strips_and_tiles_equal_the_whole_block_bit_for_bit(self, shape, A0, phi_sq,
+                                                                 X_ratio, phi_c, s_ratio, t):
+        n, method, count, block_values, strip_values = shape
+        ms = mixed(A0=A0, phi_sq=phi_sq, X_amp=X_ratio * SGR, phi_c=phi_c, sigma_a=s_ratio * SGR)
+        r = sx.reparameterize(ms).support_radius(12.0)
+        grid = sx.GridSpec(-r, r, n)
+        dx0, dp0, _, log_w = ensemble_members(ms, method, count)
+        half_log_w = np.broadcast_to(0.5 * log_w, dx0.shape)
+        want = np.empty((n, 2 * dx0.size))
+        whole_block_members(ms, grid, t, dx0, dp0, half_log_w,
+                            np.empty((n, dx0.size), dtype=complex), want)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mixing, "TILE_VALUES", strip_values)
+            got = np.empty_like(want)
+            mixing._member_block(ms, grid, t, dx0, dp0, half_log_w, got)
+            mp.setattr(mixing, "BLOCK_VALUES", block_values)
+            rho = mixing._ensemble_sum(ms, grid, t, dx0, dp0, log_w)
+            ref = whole_matrix_sum(ms, grid, t, dx0, dp0, log_w)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(rho.view(np.uint64), ref.view(np.uint64))
+
     @pytest.mark.parametrize("defect", ["dropped-central-member", "flipped-im-sign"])
     def test_the_rank_k_bound_at_its_loosest_fails_a_planted_defect(self, defect):
         # PAST_RANK_K_BLOCKS, the explicit example's, are the most blocks the test above sums
@@ -497,11 +591,12 @@ class TestEnsembleBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one member block is 8 MiB; building it all at once would take 78 MiB
+        # one member block is 4 MiB; building it all at once would take 78 MiB
         assert peak <= 48 * 2**20
-        # the plane-wave and [C | S] buffers are 8 MiB each, allocated once; the complex
-        # GEMM sum, with its per-block copies, peaked at 31.2 MiB
-        assert peak <= 24 * 2**20
+        # the [C | S] buffer is 4 MiB, allocated once, and the plane waves take one strip;
+        # the complex GEMM sum, with its per-block copies, peaked at 31.2 MiB, and a whole
+        # (N, M) plane-wave buffer beside an 8 MiB [C | S] at 21.0 MiB
+        assert peak <= 10 * 2**20
 
 
 class TestGaussianIdentities:

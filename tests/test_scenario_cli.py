@@ -389,11 +389,15 @@ class TestScenarioRules:
          "scenario 'ground_state'.grid: n_points=65536 exceeds 4096"),
         ({"ensemble_nodes": 10**6},
          "scenario 'ground_state': ensemble_nodes=1000000 is outside 16..128"),
+        # a timeseries of 10**6 times would build 10**6 densities: 2.5 h at 256 points
+        ({"sample_times": tuple(range(scenario.MAX_SAMPLE_TIMES + 1))},
+         "scenario 'ground_state': 4097 sample_times, more than 4096"),
         # pi hbar/h = 3.32 against the momentum support 5.66
         ({"grid": sx.GridSpec(-9.0, 9.0, 20)},
          "scenario 'ground_state'.grid: grid x_min=-9, x_max=9, n_points=20 resolves momenta up "
          "to"),
-    ], ids=["zero-steps", "max-steps", "max-grid-points", "ensemble-nodes", "nyquist"])
+    ], ids=["zero-steps", "max-steps", "max-grid-points", "ensemble-nodes", "max-sample-times",
+            "nyquist"])
     def test_a_replaced_scenario_is_refused_before_anything_is_allocated(self, change, message):
         sc = parse_config((SCENARIOS / "ground_state.json").read_text())[0]
         tracemalloc.start()
@@ -447,6 +451,15 @@ class TestScenarioRules:
                                                     "invariant violated"):
             dataclasses.replace(sc, state=sx.MixedGaussianSpec(
                 sc.state.base, 2.0 * sc.state.sigma_a))
+
+    def test_max_sample_times_parse_and_one_more_exit_3(self, tmp_path, capsys):
+        times = [k * 1e-3 for k in range(scenario.MAX_SAMPLE_TIMES + 1)]
+        assert len(parse_one(dict(FAST_MIXED, sample_times=times[:-1])).sample_times) == 4096
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_MIXED, sample_times=times)))
+        assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == ("invariant violation: scenario 'fast_mixed': 4097 "
+                                           "sample_times, more than 4096\n")
 
     @pytest.mark.parametrize("config", [FAST_PURE, FAST_MIXED], ids=["pure", "mixed"])
     def test_a_scenario_built_with_no_sample_times_is_refused(self, config):
@@ -638,6 +651,18 @@ class TestTypedReader:
                 parse_config(json.dumps(doc))
             got = json.loads(json.dumps(value))
             assert str(caught.value) == f"{where} must be {what}, got {got!r}"
+
+    @pytest.mark.parametrize("value, got", [
+        ("x" * 498, repr("x" * 498)),  # 500 characters, quoted in full
+        ("x" * 499, repr("x" * 499)[:497] + "..."),
+        # the whole list used to be quoted: a message of 500,044 characters
+        ([0.0] * 100_000, "[" + "0.0, " * 99 + "0..."),
+    ], ids=["500-characters", "501-characters", "100000-entries"])
+    def test_a_refused_value_is_quoted_in_at_most_500_characters(self, value, got):
+        with pytest.raises(sx.ParseError) as caught:
+            parse_config(json.dumps({"name": "m", "outputs": ["verify"], "squeeze": value}))
+        assert str(caught.value) == f"scenario 'm'.squeeze must be an object, got {got}"
+        assert len(got) <= 500
 
 
 # Float-range extremes that every number of a run-time fuzz config may take.
@@ -941,12 +966,13 @@ class TestVerify:
         lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
-    def test_a_mixed_verify_holds_at_most_14_densities(self, monkeypatch):
-        # the three probe densities, the ensemble's real sums and the guard's 64-node sum:
-        # 13.2 densities (52.8 MiB) at 512 points; the probe densities from malloc, where
-        # tracemalloc sees them
+    @pytest.mark.parametrize("n, densities", [(512, 6.0), (1024, 5.5)])
+    def test_the_working_set_of_a_mixed_verify(self, monkeypatch, n, densities):
+        # two probe densities, the ensemble result and the guard's real sums and result: 5.7
+        # densities at 512 points (with the 4 MiB [C | S] block) and 5.1 at 1024, where
+        # whole-block plane waves and whole-matrix temporaries held 13.2 and 10.1; the probe
+        # densities from malloc, where tracemalloc sees them
         monkeypatch.setattr(states, "_own_pages", lambda n: np.empty((n, n), dtype=complex))
-        n = 512
         sc = parse_one(dict(FAST_MIXED, grid={"x_min": -12.0, "x_max": 12.0, "n_points": n},
                             sample_times=[0.0, 0.7, 1.9], outputs=["verify"]))
         tracemalloc.start()
@@ -956,7 +982,7 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert all(ok for ok, _ in lines), lines
-        assert peak <= 14 * n * n * 16
+        assert peak <= densities * n * n * 16
 
     def test_nan_value_fails(self, monkeypatch):
         # verify_scenario is the one judge of a check record: value <= tol, which NaN is not

@@ -68,11 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(msg: str, quiet: bool = False) -> None:
-    if not quiet:
-        print(msg)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -91,12 +86,13 @@ def main(argv=None) -> int:
         results = run_scenarios(scenarios, args.out_dir, seed=args.seed)
         for res in results:
             for path in res.files:
-                _emit(f"wrote {path}", args.quiet)
+                if not args.quiet:
+                    print(f"wrote {path}")
             for ok, line in res.lines:
-                if ok:
-                    _emit(line, args.quiet)
-                else:
+                if not ok:
                     print(line, file=sys.stderr)
+                elif not args.quiet:
+                    print(line)
         if not all(res.verified for res in results):
             print("verification FAILED", file=sys.stderr)
             return EXIT_VERIFICATION

@@ -47,8 +47,10 @@ __all__ = [
 
 # Largest peak-relative change node doubling may make to a Gauss-Hermite result.
 CONVERGENCE_TOL = 1e-8
-# Fewest Gauss-Hermite nodes per axis an ensemble average may use.
+# Gauss-Hermite nodes per axis an ensemble average may use.  128 nodes per axis let the
+# node-doubling guard sum at most 256**2 = 65,536 members.
 MIN_ENSEMBLE_NODES = 16
+MAX_ENSEMBLE_NODES = 128
 # Most member values (points x members) in one block: 4 MiB of real [C | S] columns.
 BLOCK_VALUES = 2**18
 # Monte Carlo seed when none is given.
@@ -196,6 +198,13 @@ def _ensemble_sum(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     return rho
 
 
+def _require_nodes(n_nodes: int, what: str) -> None:
+    """Raise unless ``n_nodes`` Gauss-Hermite nodes per axis lie in MIN..MAX_ENSEMBLE_NODES."""
+    if not MIN_ENSEMBLE_NODES <= n_nodes <= MAX_ENSEMBLE_NODES:
+        raise InvariantError(f"{what}={n_nodes} is outside "
+                             f"{MIN_ENSEMBLE_NODES}..{MAX_ENSEMBLE_NODES}")
+
+
 def _gauss_hermite_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                            n_nodes: int) -> np.ndarray:
     xi, w = np.polynomial.hermite.hermgauss(n_nodes)
@@ -214,7 +223,7 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                              check_convergence: bool = True) -> DensityMatrixSample:
     """Brute-force average of pure density matrices over the center spread.
 
-    Gauss-Hermite tensor quadrature (n_nodes per axis, >= MIN_ENSEMBLE_NODES)
+    Gauss-Hermite tensor quadrature (n_nodes per axis, MIN..MAX_ENSEMBLE_NODES)
     by default; ``method="monte-carlo"`` draws ``n_samples`` centers with a
     fixed seed instead.  Either way the members are summed in blocks as a
     real symmetric rank-k update (see ``_ensemble_sum``).  With
@@ -231,9 +240,7 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
         rho = _ensemble_sum(spec, grid, t, rng.normal(0.0, spec.sigma_a, n_samples),
                             rng.normal(0.0, m_om * spec.sigma_a, n_samples), -math.log(n_samples))
     elif method == "gauss-hermite":
-        if n_nodes < MIN_ENSEMBLE_NODES:
-            raise InvariantError(f"ensemble quadrature requires n_nodes >= {MIN_ENSEMBLE_NODES} "
-                                 f"per axis: got {n_nodes}")
+        _require_nodes(n_nodes, "n_nodes")
         rho = _gauss_hermite_density(spec, grid, t, n_nodes)
         if check_convergence:
             drift = _peak_relative_error(rho, _gauss_hermite_density(spec, grid, t, 2 * n_nodes))

@@ -23,8 +23,8 @@ from .errors import ConvergenceError, InvariantError, ParseError
 from .mixing import (
     CONVERGENCE_TOL,
     DEFAULT_SEED,
-    MIN_ENSEMBLE_NODES,
     MixedGaussianSpec,
+    _require_nodes,
     ensemble_average_density,
     eval_mixed_density,
     reparameterize,
@@ -38,6 +38,7 @@ from .states import (
     OscillatorConfig,
     SqueezeDynamics,
     _peak_relative_error,
+    _require_pure,
     accumulated_phase,
     center_state,
     eval_pure_density,
@@ -75,13 +76,11 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
 # A mixed verify peaks at 5.0 densities (tracemalloc; 321.6 MiB at 2048 points): about 1.3 GiB
 # for each of up to 4 pooled scenarios at 4096, not measured, so mixed grids stop at 2048.
-# 2**20 steps are 128 periods at dt = T/8192, 2**12 sample times 64 periods at 64 per period;
-# 128 nodes per axis let the node-doubling guard sum at most 256**2 = 65,536 members.
+# 2**20 steps are 128 periods at dt = T/8192, 2**12 sample times 64 periods at 64 per period.
 MAX_GRID_POINTS = 4096
 MAX_MIXED_GRID_POINTS = 2048
 MAX_STEPS = 2**20
 MAX_SAMPLE_TIMES = 2**12
-MAX_ENSEMBLE_NODES = 128
 
 
 def _fmt(value) -> str:
@@ -153,7 +152,7 @@ class Scenario:
     """A scenario whose every value rule holds, however it was built: ready to run."""
 
     name: str
-    state: MixedGaussianSpec  # sigma_a = 0 for a pure state
+    state: MixedGaussianSpec  # mixed iff the closed form's P exceeds 1; see is_mixed
     grid: GridSpec
     scheme: str
     dt: float
@@ -194,12 +193,9 @@ class Scenario:
                                      "positive one land on its own step round(t/dt) >= 1")
             if not times[-1] > 0:  # else propagation-fidelity compares psi(0) with itself
                 raise InvariantError(f"{ctx}: a stepped trajectory needs a positive sample time")
-        if self.is_mixed and "wavefunction" in self.outputs:
-            raise InvariantError(f"{ctx}: wavefunction product requires a pure state (P = 1): "
-                                 f"P = {spec.purity_product!r}")
-        if not MIN_ENSEMBLE_NODES <= self.ensemble_nodes <= MAX_ENSEMBLE_NODES:
-            raise InvariantError(f"{ctx}: ensemble_nodes={self.ensemble_nodes} is outside "
-                                 f"{MIN_ENSEMBLE_NODES}..{MAX_ENSEMBLE_NODES}")
+        if "wavefunction" in self.outputs:
+            _named(ctx, _require_pure, spec, "wavefunction product")
+        _named(ctx, _require_nodes, self.ensemble_nodes, "ensemble_nodes")
         # the phases the closed forms take at the sample times
         osc, sq, c, omega = self.osc, spec.squeeze, spec.center, self.osc.angular_frequency
         phases = [("m omega X_amp^2 / hbar", osc.mass * omega * c.X_amp * c.X_amp / osc.hbar)]
@@ -222,7 +218,8 @@ class Scenario:
 
     @property
     def is_mixed(self) -> bool:
-        return self.state.sigma_a > 0
+        """True iff the closed form's P exceeds 1 by more than the rounding allowance."""
+        return not self.spec.is_pure
 
     @property
     def steps(self) -> bool:
@@ -278,8 +275,8 @@ def _parse_scenario(obj: dict) -> Scenario:
                    _read(obj, "sigma_a", ctx, "number", 0.0))
 
     if "grid" not in obj:
-        grid = _named(f"{ctx}.grid", GridSpec.for_state, reparameterize(state),
-                      256 if state.sigma_a > 0 else 1024)
+        spec = reparameterize(state)
+        grid = _named(f"{ctx}.grid", GridSpec.for_state, spec, 1024 if spec.is_pure else 256)
     else:
         grid = _section(GridSpec, _read(obj, "grid", ctx, "object"), f"{ctx}.grid")
 
@@ -550,7 +547,6 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
     """Make the products ``sc.outputs`` names; dumps are taken at the last sample time."""
     _prepare_out_dir([sc], out_dir)
     paths = _product_paths(sc, out_dir)
-    files: list = []
     lines: list = []
     t = sc.sample_times[-1]
     for product in sc.outputs:
@@ -567,8 +563,7 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
                 write_density_dump(density_at(sc, t), path)
         except OSError as exc:
             raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
-        files.append(path)
-    return ScenarioResult(lines=lines, files=files)
+    return ScenarioResult(lines=lines, files=list(paths.values()))
 
 
 def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):

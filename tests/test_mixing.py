@@ -408,11 +408,17 @@ class TestEnsembleAverage:
         cf = sx.eval_mixed_density(rp, grid, 0.4)
         assert np.abs(ens.values - cf.values).max() <= 1e-8 * np.abs(cf.values).max()
 
-    def test_rejects_too_few_nodes(self):
+    @pytest.mark.parametrize("n_nodes", [8, 129, 10**5])
+    def test_rejects_node_counts_outside_16_to_128_before_building_a_rule(self, monkeypatch,
+                                                                           n_nodes):
+        # hermgauss(10**5) would build a 10**5 x 10**5 companion matrix: 80 GB
+        def refuse(n):
+            raise AssertionError(f"hermgauss({n}) called")
         ms = mixed(sigma_a=SGR)
         grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=128)
-        with pytest.raises(sx.InvariantError, match="n_nodes >= 16"):
-            sx.ensemble_average_density(ms, grid, 0.0, 8)
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", refuse)
+        with pytest.raises(sx.InvariantError, match=rf"^n_nodes={n_nodes} is outside 16\.\.128$"):
+            sx.ensemble_average_density(ms, grid, 0.0, n_nodes)
 
     def test_rejects_no_samples(self):
         ms = mixed(sigma_a=SGR)

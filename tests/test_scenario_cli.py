@@ -1225,6 +1225,32 @@ class TestCLI:
         assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "o", "--quiet") == 0
         assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
+    def test_spread_that_leaves_p_at_one_is_a_pure_scenario(self, tmp_path, capsys):
+        # sigma_a^2/sigma_gr^2 = 2e-18 is below half an ulp of A0 = 1.25: P = 1.0 exactly
+        tiny = {"name": "tiny", "squeeze": {"A0": 1.25, "dA": 0.75}, "sigma_a": 1e-9,
+                "grid": {"x_min": -14, "x_max": 14, "n_points": 256}, "outputs": ["wavefunction"]}
+        for name, config in (("tiny", tiny), ("none", dict(tiny, sigma_a=0.0))):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            assert self.run_cli("run", cfg, "--out-dir", tmp_path / name, "--quiet") == 0
+        (dump,), (unspread,) = ((tmp_path / name).iterdir() for name in ("tiny", "none"))
+        assert dump.name.startswith("tiny_wavefunction_t")
+        assert dump.read_bytes() == unspread.read_bytes()
+
+        # without a grid it takes the pure default of 1024 points, and verify the pure checks
+        tiny = dict(tiny, sample_times=[0.0, 0.5])
+        del tiny["grid"]
+        sc = parse_one(tiny)
+        assert not sc.is_mixed and sc.grid.n_points == 1024
+        cfg = tmp_path / "default_grid.json"
+        cfg.write_text(json.dumps(tiny))
+        capsys.readouterr()
+        assert self.run_cli("verify", cfg, "--out-dir", tmp_path / "v") == 0
+        labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert labels == [f"[tiny] {label}" for label in (
+            "ode-residuals", "schrodinger-residual", "variance-law", "phase-law",
+            "propagation-fidelity")]
+
     def test_dump_density_subcommand(self, tmp_path):
         cfg = tmp_path / "sc.json"
         cfg.write_text(json.dumps(FAST_MIXED))

@@ -51,6 +51,11 @@ CONVERGENCE_TOL = 1e-8
 # node-doubling guard sum at most 256**2 = 65,536 members.
 MIN_ENSEMBLE_NODES = 16
 MAX_ENSEMBLE_NODES = 128
+# Most centers a Monte Carlo ensemble average may draw: the power of two above the 1e5 that
+# the CLI's mc_check draws.  Each member costs what a Gauss-Hermite one does, so a call sums
+# at most twice the 65,536 members of the largest node-doubling sum, and its two draws take
+# 1 MiB each.
+MAX_MC_SAMPLES = 2**17
 # Most member values (points x members) in one block: 4 MiB of real [C | S] columns.
 BLOCK_VALUES = 2**18
 # Monte Carlo seed when none is given.
@@ -224,17 +229,18 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
     """Brute-force average of pure density matrices over the center spread.
 
     Gauss-Hermite tensor quadrature (n_nodes per axis, MIN..MAX_ENSEMBLE_NODES)
-    by default; ``method="monte-carlo"`` draws ``n_samples`` centers with a
-    fixed seed instead.  Either way the members are summed in blocks as a
-    real symmetric rank-k update (see ``_ensemble_sum``).  With
-    ``check_convergence`` the Gauss-Hermite result is compared against a
-    node-doubled rule and a ConvergenceError is raised if they disagree beyond
-    CONVERGENCE_TOL relative to the matrix peak.
+    by default; ``method="monte-carlo"`` draws ``n_samples`` centers
+    (1..MAX_MC_SAMPLES) with a fixed seed instead.  Either way the members
+    are summed in blocks as a real symmetric rank-k update (see
+    ``_ensemble_sum``).  With ``check_convergence`` the Gauss-Hermite result
+    is compared against a node-doubled rule and a ConvergenceError is raised
+    if they disagree beyond CONVERGENCE_TOL relative to the matrix peak.
     """
     grid.require_coverage(reparameterize(spec))
     if method == "monte-carlo":
-        if n_samples < 1:
-            raise InvariantError(f"Monte Carlo ensemble requires n_samples >= 1: got {n_samples}")
+        if not 1 <= n_samples <= MAX_MC_SAMPLES:
+            raise InvariantError("Monte Carlo ensemble requires n_samples >= 1 and at most "
+                                 f"{MAX_MC_SAMPLES}: got {n_samples}")
         rng = np.random.default_rng(seed)  # dx0, then dp0 with spread m omega sigma_a
         m_om = spec.base.osc.mass * spec.base.osc.angular_frequency
         rho = _ensemble_sum(spec, grid, t, rng.normal(0.0, spec.sigma_a, n_samples),

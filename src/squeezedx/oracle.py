@@ -22,6 +22,7 @@ edge aborts the run rather than silently wrapping or reflecting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ SCHEMES = ("implicit-unitary", "spectral-split-step")
 EDGE_START_TOL = 1e-12
 # Per-step contamination guard.
 EDGE_GUARD = 1e-8
+# Most steps a trajectory or one propagate call may take: 128 periods at dt = T/8192,
+# the default step.
+MAX_STEPS = 2**20
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,35 @@ class PropagatorConfig:
             raise InvariantError(f"propagator invariant dt > 0 violated: dt={self.dt}")
         if self.n_steps < 1:
             raise InvariantError(f"propagator invariant n_steps >= 1 violated: n_steps={self.n_steps}")
+        if self.n_steps > MAX_STEPS:
+            raise InvariantError(f"propagator invariant n_steps <= {MAX_STEPS} violated: "
+                                 f"n_steps={self.n_steps}")
+
+
+def _step(t: float, dt: float) -> int:
+    """The step nearest to time ``t`` on the clock of a trajectory stepped from t = 0 by ``dt``."""
+    steps = t / dt
+    if not math.isfinite(steps):
+        raise InvariantError(f"time t={t!r} is on no step of dt={dt!r}")
+    return round(steps)
+
+
+def _sample_steps(times: tuple, dt: float) -> tuple:
+    """The step of each of the strictly increasing sample ``times`` on the clock of a trajectory
+    stepped from t = 0 by ``dt``, 0 for t = 0.  The one judge of whether it resolves them: it
+    refuses more than MAX_STEPS steps to the last time, a negative time, a positive time on
+    step 0 or on an earlier time's step, and no positive time."""
+    if not times[-1] / dt <= MAX_STEPS:
+        raise InvariantError(f"propagator dt={dt!r} needs {times[-1] / dt:.3g} steps to reach "
+                             f"t={times[-1]!r}, more than {MAX_STEPS}")
+    steps = tuple(_step(t, dt) if t > 0 else 0 for t in times)
+    if times[0] < 0 or any(t > 0 and b <= a for t, a, b in zip(times, (0,) + steps, steps)):
+        raise InvariantError(f"a trajectory stepped from t = 0 by dt={dt!r} does not resolve "
+                             "sample_times: each time must be >= 0 and each positive one land "
+                             "on its own step round(t/dt) >= 1")
+    if not times[-1] > 0:  # else a fidelity would compare psi(0) with itself
+        raise InvariantError("a stepped trajectory needs a positive sample time")
+    return steps
 
 
 def _potential(grid: GridSpec, osc: OscillatorConfig) -> np.ndarray:
@@ -89,11 +122,11 @@ class _Propagated(WavefunctionSample):
 
 
 def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "",
-                 step: float | None = None) -> None:
+                 step: int | None = None) -> None:
     """Raise BoundaryError unless |psi| <= threshold at both edges (NaN fails); psi0 has no step."""
     lo, hi = abs(psi[0]), abs(psi[-1])
     if not (lo <= threshold and hi <= threshold):
-        where = "in the initial state" if step is None else f"at {scheme} step {step:.0f}"
+        where = "in the initial state" if step is None else f"at {scheme} step {step}"
         raise BoundaryError(
             f"boundary contamination {where}: edge amplitude {np.maximum(lo, hi):.3e} "
             f"exceeds {threshold:g}; enlarge the grid"
@@ -101,7 +134,7 @@ def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "",
 
 
 def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                          dt: float, n_steps: int, start: float) -> np.ndarray:
+                          dt: float, n_steps: int, start: int) -> np.ndarray:
     k = grid.wavenumbers()
     v = _potential(grid, osc)
     half_kick = np.exp(-0.5j * v * dt / osc.hbar)
@@ -118,7 +151,7 @@ def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig
 
 
 def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                      dt: float, n_steps: int, start: float) -> np.ndarray:
+                      dt: float, n_steps: int, start: int) -> np.ndarray:
     # scipy.linalg costs ~0.35 s to import and only this scheme needs it
     from scipy.linalg import lapack
 
@@ -140,7 +173,7 @@ def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
         rhs[1:] -= lam_off * psi[:-1]
         psi, info = lapack.zgttrs(*lu, rhs, overwrite_b=1)
         if info:
-            raise InvariantError(f"implicit step {start + step + 1:.0f}: zgttrs info = {info}")
+            raise InvariantError(f"implicit step {start + step + 1}: zgttrs info = {info}")
         _check_edges(psi, EDGE_GUARD, "implicit", start + step + 1)
     return psi
 
@@ -155,11 +188,11 @@ def propagate(psi0: WavefunctionSample, osc: OscillatorConfig,
     under the per-step guard alone, so a trajectory's verdict does not
     depend on how many calls it is split into.  Nor does an error message:
     it counts steps on the trajectory's clock, the one ending at time t
-    being step t / dt, rounded.
+    being step round(t / dt).
     """
     if not isinstance(psi0, _Propagated):
         _check_edges(psi0.values, EDGE_START_TOL)
-    start = psi0.time / cfg.dt
+    start = _step(psi0.time, cfg.dt)
     if cfg.scheme == "spectral-split-step":
         values = _propagate_split_step(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start)
     else:

@@ -29,7 +29,7 @@ from .mixing import (
     eval_mixed_density,
     reparameterize,
 )
-from .oracle import PropagatorConfig, fidelity, propagate, purity
+from .oracle import PropagatorConfig, _sample_steps, fidelity, propagate, purity
 from .states import (
     CenterTrajectory,
     DensityMatrixSample,
@@ -76,10 +76,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 # it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
 # A mixed verify peaks at 5.0 densities (tracemalloc; 321.6 MiB at 2048 points): about 1.3 GiB
 # for each of up to 4 pooled scenarios at 4096, not measured, so mixed grids stop at 2048.
-# 2**20 steps are 128 periods at dt = T/8192, 2**12 sample times 64 periods at 64 per period.
+# 2**12 sample times are 64 periods at 64 per period.  oracle bounds the steps.
 MAX_GRID_POINTS = 4096
 MAX_MIXED_GRID_POINTS = 2048
-MAX_STEPS = 2**20
 MAX_SAMPLE_TIMES = 2**12
 
 
@@ -182,17 +181,8 @@ class Scenario:
             raise InvariantError(f"{ctx}: {len(times)} sample_times, more than {MAX_SAMPLE_TIMES}")
         if not times or any(b <= a for a, b in zip(times, times[1:])):
             raise InvariantError(f"{ctx}: sample_times must be non-empty and strictly increasing")
-        if self.steps:  # the trajectory is stepped from t = 0 to step round(t/dt) of each time
-            if not times[-1] / dt <= MAX_STEPS:
-                raise InvariantError(f"{ctx}: propagator dt={dt!r} needs {times[-1] / dt:.3g} "
-                                     f"steps to reach t={times[-1]!r}, more than {MAX_STEPS}")
-            steps = [0] + [_step(t, dt) for t in times if t > 0]
-            if times[0] < 0 or any(b <= a for a, b in zip(steps, steps[1:])):
-                raise InvariantError(f"{ctx}: a trajectory stepped from t = 0 by dt={dt!r} does "
-                                     "not resolve sample_times: each time must be >= 0 and each "
-                                     "positive one land on its own step round(t/dt) >= 1")
-            if not times[-1] > 0:  # else propagation-fidelity compares psi(0) with itself
-                raise InvariantError(f"{ctx}: a stepped trajectory needs a positive sample time")
+        if self.steps:
+            _named(ctx, _sample_steps, times, dt)
         if "wavefunction" in self.outputs:
             _named(ctx, _require_pure, spec, "wavefunction product")
         _named(ctx, _require_nodes, self.ensemble_nodes, "ensemble_nodes")
@@ -236,18 +226,13 @@ class Scenario:
         """
         psi = eval_pure_wavefunction(self.spec, self.grid, 0.0)
         fids = []
-        for t in self.sample_times:
-            n_steps = _step(t, self.dt) - _step(psi.time, self.dt)
-            if n_steps > 0:
-                cfg = PropagatorConfig(self.scheme, dt=self.dt, n_steps=n_steps)
+        steps = _sample_steps(self.sample_times, self.dt)
+        for done, step in zip((0,) + steps, steps):
+            if step > done:
+                cfg = PropagatorConfig(self.scheme, dt=self.dt, n_steps=step - done)
                 psi = propagate(psi, self.osc, cfg)
             fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
         return tuple(fids)
-
-
-def _step(t: float, dt: float) -> int:
-    """The propagation step whose time is nearest to t."""
-    return round(t / dt)
 
 
 def _parse_scenario(obj: dict) -> Scenario:
@@ -539,7 +524,11 @@ def _prepare_out_dir(scenarios, out_dir: Path) -> None:
         except OSError as exc:
             raise ParseError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     for path in paths:
-        if path.is_dir():
+        try:
+            is_dir = path.is_dir()
+        except OSError as exc:  # a name too long for the file system
+            raise ParseError(f"cannot write {path}: {exc.strerror}") from exc
+        if is_dir:
             raise ParseError(f"cannot write {path}: Is a directory")
 
 

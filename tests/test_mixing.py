@@ -428,6 +428,17 @@ class TestEnsembleAverage:
                 sx.ensemble_average_density(ms, grid, 0.0, method="monte-carlo",
                                             n_samples=n_samples)
 
+    @pytest.mark.parametrize("n_samples", [mixing.MAX_MC_SAMPLES + 1, 10**10])
+    def test_rejects_too_many_samples_before_drawing(self, monkeypatch, n_samples):
+        def refuse(seed):
+            raise AssertionError("a generator was made")
+        ms = mixed(sigma_a=SGR)
+        grid = sx.GridSpec.for_state(sx.reparameterize(ms), n_points=128)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        with pytest.raises(sx.InvariantError, match=rf"at most 131072: got {n_samples}$"):
+            sx.ensemble_average_density(ms, grid, 0.0, method="monte-carlo",
+                                        n_samples=n_samples)
+
     def test_monte_carlo_mode_agrees_at_statistical_tolerance(self):
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=SGR)
         rp = sx.reparameterize(ms)

@@ -64,6 +64,28 @@ class TestPropagatorConfig:
         with pytest.raises(sx.InvariantError, match="n_steps >= 1"):
             sx.PropagatorConfig(dt=0.1, n_steps=0)
 
+    def test_bounds_the_step_count(self):
+        assert sx.PropagatorConfig(dt=1e-3, n_steps=oracle.MAX_STEPS).n_steps == 2**20
+        with pytest.raises(sx.InvariantError, match=r"n_steps <= 1048576 violated: n_steps=1048577"):
+            sx.PropagatorConfig(dt=1e-3, n_steps=oracle.MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_propagate_refuses_a_huge_step_count_before_any_step(self, scheme, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a step kernel ran")
+        monkeypatch.setattr(oracle, "_propagate_split_step", refuse)
+        monkeypatch.setattr(oracle, "_propagate_cayley", refuse)
+        with pytest.raises(sx.InvariantError, match="n_steps <= 1048576"):
+            sx.propagate(swinging_packet(), OSC,
+                         sx.PropagatorConfig(scheme=scheme, dt=1e-3, n_steps=10**12))
+
+    def test_a_state_time_on_no_step_is_refused(self):
+        # the time of the state's step on the trajectory's clock is round(time / dt)
+        psi = swinging_packet()
+        far = sx.WavefunctionSample(grid=psi.grid, values=psi.values, time=1.0)
+        with pytest.raises(sx.InvariantError, match=r"time t=1\.0 is on no step of dt=1e-320"):
+            sx.propagate(far, OSC, sx.PropagatorConfig(dt=1e-320, n_steps=1))
+
 
 class TestPropagate:
     @pytest.mark.parametrize("scheme", SCHEMES)

@@ -1562,6 +1562,22 @@ class TestCLI:
         # the directory is made and every product path checked before any trajectory is stepped
         assert not steps
 
+    def test_a_name_too_long_for_the_file_system_exits_2(self, tmp_path, capsys):
+        name = "n" * 300
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_PURE, name=name)))
+        out = tmp_path / "out"
+        assert self.run_cli("run", cfg, "--out-dir", out) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"parse error: cannot write {out}/{name}_timeseries.csv: File name too long"]
+        assert captured.out == ""
+        assert not list(out.iterdir())
+        # verify writes no product, so the name makes no path
+        assert self.run_cli("verify", cfg, "--out-dir", out, "--quiet") == 0
+        assert capsys.readouterr().err == ""
+        assert not list(out.iterdir())
+
     def test_a_product_path_that_is_a_directory_stops_every_scenario(self, tmp_path, capsys):
         out = tmp_path / "D"
         (out / "fast_mixed_timeseries.csv").mkdir(parents=True)
@@ -1637,6 +1653,26 @@ class TestImports:
                               capture_output=True, text=True, cwd=tmp_path, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(loaded)]
+
+
+class TestMonteCarloLine:
+    def test_the_mc_agreement_line_names_its_seed_and_passes(self, tmp_path, capsys):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(dict(FAST_MIXED, mc_check=True)))
+        runs = {}
+        for seed in ("12345", "7"):
+            assert cli.main(["verify", str(cfg), "--seed", seed]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            runs[seed] = captured.out.splitlines()
+        (line,) = [ln for ln in runs["12345"] if ln.startswith("[fast_mixed] mc-agreement: ")]
+        assert line.startswith("[fast_mixed] mc-agreement: PASS "
+                               "(peak-relative rms at 1e5 samples, seed 12345 = ")
+        assert float(re.search(r" = (\S+), tol 0\.001,", line).group(1)) < 1e-3
+        changed = [(a, b) for a, b in zip(runs["12345"], runs["7"]) if a != b]
+        assert len(runs["7"]) == len(runs["12345"])
+        assert [a for a, _ in changed] == [line]
+        assert "seed 7 = " in changed[0][1]
 
 
 class TestTracedMixedRun:

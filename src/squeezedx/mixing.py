@@ -30,6 +30,7 @@ from .states import (
     TILE_VALUES,
     _gaussian_density,
     _peak_relative_error,
+    _require_points,
     _require_pure,
     _tiles,
     center_state,
@@ -228,14 +229,16 @@ def ensemble_average_density(spec: MixedGaussianSpec, grid: GridSpec, t: float,
                              check_convergence: bool = True) -> DensityMatrixSample:
     """Brute-force average of pure density matrices over the center spread.
 
-    Gauss-Hermite tensor quadrature (n_nodes per axis, MIN..MAX_ENSEMBLE_NODES)
-    by default; ``method="monte-carlo"`` draws ``n_samples`` centers
+    The grid has at most states.MAX_DENSITY_POINTS points.  Gauss-Hermite
+    tensor quadrature (n_nodes per axis, MIN..MAX_ENSEMBLE_NODES) by default;
+    ``method="monte-carlo"`` draws ``n_samples`` centers
     (1..MAX_MC_SAMPLES) with a fixed seed instead.  Either way the members
     are summed in blocks as a real symmetric rank-k update (see
     ``_ensemble_sum``).  With ``check_convergence`` the Gauss-Hermite result
     is compared against a node-doubled rule and a ConvergenceError is raised
     if they disagree beyond CONVERGENCE_TOL relative to the matrix peak.
     """
+    _require_points(grid.n_points)
     grid.require_coverage(reparameterize(spec))
     if method == "monte-carlo":
         if not 1 <= n_samples <= MAX_MC_SAMPLES:

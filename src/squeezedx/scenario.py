@@ -35,9 +35,11 @@ from .states import (
     DensityMatrixSample,
     GaussianStateSpec,
     GridSpec,
+    MAX_DENSITY_POINTS,
     OscillatorConfig,
     SqueezeDynamics,
     _peak_relative_error,
+    _require_points,
     _require_pure,
     accumulated_phase,
     center_state,
@@ -71,13 +73,11 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# Bounds that Scenario checks before anything is allocated.  One N x N complex density at
-# 4096 points takes 256 MiB, and a timeseries row adds only tiles of states.TILE_VALUES to
-# it (row peak measured with tracemalloc at 2048 points: 65.0 MiB for a 64 MiB matrix).
-# A mixed verify peaks at 5.0 densities (tracemalloc; 321.6 MiB at 2048 points): about 1.3 GiB
-# for each of up to 4 pooled scenarios at 4096, not measured, so mixed grids stop at 2048.
-# 2**12 sample times are 64 periods at 64 per period.  oracle bounds the steps.
-MAX_GRID_POINTS = 4096
+# Bounds that Scenario checks before anything is allocated.  A mixed verify holds two probe
+# densities beside the ensemble's three, 5.0 densities in all (tracemalloc; 321.6 MiB at 2048
+# points): about 1.3 GiB for each of up to 4 pooled scenarios at 4096, not measured, so mixed
+# grids stop at 2048.  2**12 sample times are 64 periods at 64 per period.  states bounds a
+# pure grid and oracle the steps.
 MAX_MIXED_GRID_POINTS = 2048
 MAX_SAMPLE_TIMES = 2**12
 
@@ -174,8 +174,8 @@ class Scenario:
                                  f"expected {PRODUCTS}")
             if self.outputs.count(p) > 1:
                 raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
-        if grid.n_points > (bound := MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_GRID_POINTS):
-            raise InvariantError(f"{ctx}.grid: n_points={grid.n_points} exceeds {bound}")
+        _named(f"{ctx}.grid", _require_points, grid.n_points,
+               MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_DENSITY_POINTS)
         _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt=dt, n_steps=1)
         if len(times) > MAX_SAMPLE_TIMES:
             raise InvariantError(f"{ctx}: {len(times)} sample_times, more than {MAX_SAMPLE_TIMES}")

@@ -273,6 +273,18 @@ class WavefunctionSample:
 TILE_VALUES = 2**14
 
 
+# Most points of an N x N density.  One complex matrix at 4096 points takes 256 MiB, and a
+# timeseries row adds only tiles to it (row peak measured with tracemalloc at 2048 points:
+# 65.0 MiB for a 64 MiB matrix).
+MAX_DENSITY_POINTS = 4096
+
+
+def _require_points(n_points: int, bound: int = MAX_DENSITY_POINTS) -> None:
+    """Raise unless an N x N matrix on ``n_points`` points stays within ``bound`` points."""
+    if n_points > bound:
+        raise InvariantError(f"n_points={n_points} exceeds {bound}")
+
+
 def _tiles(count: int, size: int, budget: int) -> list:
     """Slices of ``count`` items of ``size`` values each, at most ``budget`` values (but at
     least one item) per slice; the last slice may be shorter."""
@@ -493,6 +505,7 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
     separation d = x - x'; P = 1 is the pure state psi(x) psi*(x'), whose
     global phase cancels.  The matrix is filled one tile of rows at a time.
     """
+    _require_points(grid.n_points)
     grid.require_coverage(spec)
     osc = spec.osc
     s2 = osc.ground_variance

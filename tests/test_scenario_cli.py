@@ -282,7 +282,7 @@ class TestMomentumCoverage:
         R = sgr * (X + 8.0 * math.sqrt(A0 + s * s + dA))
         x_min, x_max = -left * R, right * R
         need = 1.0 + (x_max - x_min) * mass * omega * R / (math.pi * hbar)
-        bound = scenario.MAX_MIXED_GRID_POINTS if s else scenario.MAX_GRID_POINTS
+        bound = scenario.MAX_MIXED_GRID_POINTS if s else states.MAX_DENSITY_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
@@ -306,7 +306,7 @@ class TestMomentumCoverage:
         # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256, 2048
         # and 4096
         sgr = math.sqrt(hbar / (2.0 * mass * omega))
-        bound = scenario.MAX_MIXED_GRID_POINTS if s else scenario.MAX_GRID_POINTS
+        bound = scenario.MAX_MIXED_GRID_POINTS if s else states.MAX_DENSITY_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
@@ -363,8 +363,8 @@ class TestMomentumCoverage:
     ], ids=["given", "automatic"])
     def test_a_mixed_grid_past_max_mixed_grid_points_exit_3_before_any_array(
             self, tmp_path, capsys, monkeypatch, config, message):
-        # both grids are within MAX_GRID_POINTS; the automatic one needs 3001 points to resolve
-        # the momentum support 66.9282
+        # both grids are within states.MAX_DENSITY_POINTS; the automatic one needs 3001 points
+        # to resolve the momentum support 66.9282
         built = []
         for name in ("eval_mixed_density", "ensemble_average_density", "eval_pure_density"):
             monkeypatch.setattr(scenario, name, lambda *args, **kwargs: built.append(args))

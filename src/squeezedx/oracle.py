@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import BoundaryError, GridMismatchError, InvariantError
 from .states import (
+    EDGE_START_TOL,
     DensityMatrixSample,
     GridSpec,
     OscillatorConfig,
@@ -47,8 +48,6 @@ __all__ = [
 
 SCHEMES = ("implicit-unitary", "spectral-split-step")
 
-# Entry precondition on |psi| at the grid edges.
-EDGE_START_TOL = 1e-12
 # Per-step contamination guard.
 EDGE_GUARD = 1e-8
 # Most steps a trajectory or one propagate call may take: 128 periods at dt = T/8192,

@@ -73,11 +73,11 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# Bounds that Scenario checks before anything is allocated.  A mixed verify holds two probe
-# densities beside the ensemble's three, 5.0 densities in all (tracemalloc; 321.6 MiB at 2048
-# points): about 1.3 GiB for each of up to 4 pooled scenarios at 4096, not measured, so mixed
-# grids stop at 2048.  2**12 sample times are 64 periods at 64 per period.  states bounds a
-# pure grid and oracle the steps.
+# Bounds that Scenario checks before anything is allocated.  A mixed verify holds one closed-form
+# density beside the ensemble's result, its sums and its guard's result, 4.0 densities in all
+# (tracemalloc; 257.6 MiB at 2048 points): about 1 GiB for each of up to 4 pooled scenarios at
+# 4096, not measured, so mixed grids stop at 2048.  2**12 sample times are 64 periods at 64 per
+# period.  states bounds a pure grid and oracle the steps.
 MAX_MIXED_GRID_POINTS = 2048
 MAX_SAMPLE_TIMES = 2**12
 
@@ -453,29 +453,31 @@ def _verify_pure(sc: Scenario):
 
 def _verify_mixed(sc: Scenario, seed: int):
     probe = _probe_times(sc)
-    dms = [eval_mixed_density(sc.spec, sc.grid, t) for t in probe]
-    pur_err = max(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)) for dm in dms)
-    yield "purity-law", "max |purity - P^-1/2|", pur_err, 1e-5
-
-    del dms[1:-1]  # the middle probe's matrix, which no other check reads
-    try:
+    pur_errs, ens_errs, drift = [], [], None
+    for t in probe:
+        dm = eval_mixed_density(sc.spec, sc.grid, t)
+        pur_errs.append(abs(purity(dm) - 1.0 / np.sqrt(sc.spec.purity_product)))
         # the first and last probes: at the middle one, T/2 when a period is sampled evenly,
         # the members' rotation is -1 and their shape that of t = 0, so a wrong rotation passes
-        ens_err = max(_peak_relative_error(ensemble_average_density(
-            sc.state, sc.grid, t, sc.ensemble_nodes).values, dm.values)
-            for t, dm in {probe[0]: dms[0], probe[-1]: dms[-1]}.items())
-    except ConvergenceError as exc:
-        yield ("ensemble-agreement", f"node-doubling drift at {sc.ensemble_nodes} nodes",
-               exc.drift, CONVERGENCE_TOL)
-    else:
+        if t in (probe[0], probe[-1]) and drift is None:
+            try:
+                ens_errs.append(_peak_relative_error(ensemble_average_density(
+                    sc.state, sc.grid, t, sc.ensemble_nodes).values, dm.values))
+            except ConvergenceError as exc:
+                drift = exc.drift
+        if sc.mc_check and t == probe[0]:
+            rms = float(np.sqrt(np.mean(np.abs(ensemble_average_density(
+                sc.state, sc.grid, t, method="monte-carlo", seed=seed).values - dm.values) ** 2)))
+            rms /= float(np.abs(dm.values).max())
+        del dm  # so the next probe's density is built with none other held
+    yield "purity-law", "max |purity - P^-1/2|", max(pur_errs), 1e-5
+    if drift is None:
         yield ("ensemble-agreement", f"max peak-relative error at {sc.ensemble_nodes} nodes",
-               ens_err, 1e-8)
-
+               max(ens_errs), 1e-8)
+    else:
+        yield ("ensemble-agreement", f"node-doubling drift at {sc.ensemble_nodes} nodes",
+               drift, CONVERGENCE_TOL)
     if sc.mc_check:
-        rho = dms[0].values
-        ens = ensemble_average_density(sc.state, sc.grid, probe[0], method="monte-carlo",
-                                       seed=seed)
-        rms = float(np.sqrt(np.mean(np.abs(ens.values - rho) ** 2))) / float(np.abs(rho).max())
         yield "mc-agreement", f"peak-relative rms at 1e5 samples, seed {seed}", rms, 1e-3
 
 

@@ -65,6 +65,11 @@ FD_STEP = 1e-6
 # the classical turning points of the state they sample.
 COVERAGE_SIGMAS = 8.0
 
+# The automatic grid's least half-width past the turning points, in maximal standard
+# deviations; and the most |psi| a propagation may start from at a grid edge.
+GRID_SIGMAS = 12.0
+EDGE_START_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OscillatorConfig:
@@ -182,16 +187,18 @@ class GridSpec:
             raise InvariantError(f"grid invariant n_points >= 16 violated: n_points={self.n_points}")
 
     @classmethod
-    def for_state(cls, spec: GaussianStateSpec, n_points: int = 1024,
-                  margin: float = 12.0) -> "GridSpec":
-        """Symmetric grid with ``margin`` std-dev headroom and the fewest points from ``n_points``
-        up that resolve the momenta of ``spec``, or ``n_points`` if none below sys.maxsize does.
+    def for_state(cls, spec: GaussianStateSpec, n_points: int = 1024) -> "GridSpec":
+        """Symmetric grid with the fewest points from ``n_points`` up that resolve the momenta of
+        ``spec``, or ``n_points`` if none below sys.maxsize does.
 
-        The default margin of 12 keeps edge amplitudes below 1e-12 so the
-        grid is usable for propagation, comfortably past the hard coverage
-        minimum of COVERAGE_SIGMAS.  ``require_coverage`` judges the grid where it is used.
+        It spans GRID_SIGMAS std devs past X_amp, or more where |psi|, which peaks at (2 pi
+        sigma_gr^2 (A0 - dA))^(-1/4) (about 4e4 for an electron in SI units), would stay above
+        EDGE_START_TOL / 10 at the edges.  ``require_coverage`` judges the grid where it is used.
         """
-        radius = spec.support_radius(margin)
+        sq = spec.squeeze  # the log of the peak as a sum, since the product may underflow
+        log_peak = -0.25 * (np.log(2.0 * np.pi * spec.osc.ground_variance) + np.log(sq.A0 - sq.dA))
+        radius = spec.support_radius(max(GRID_SIGMAS, 2.0 * np.sqrt(
+            max(0.0, log_peak - np.log(EDGE_START_TOL / 10.0)))))
         grid = cls(-radius, radius, n_points)
         n = bisect_left(range(sys.maxsize), grid._momenta(spec)[1], lo=n_points,
                         key=lambda k: replace(grid, n_points=k)._momenta(spec)[0])

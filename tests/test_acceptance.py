@@ -161,7 +161,8 @@ class TestCriterion6MixedStateEquivalence:
         rng = np.random.default_rng(106)
         ms = self._mixed(sigma_ratio)
         rp = sx.reparameterize(ms)
-        grid = sx.GridSpec.for_state(rp, n_points=256, margin=8.0)
+        r = rp.support_radius(8.0)
+        grid = sx.GridSpec(-r, r, 256)
         t0 = time.time()
         worst = 0.0
         for t in rng.uniform(0.0, T, 10):
@@ -180,7 +181,8 @@ class TestCriterion6MixedStateEquivalence:
     def test_monte_carlo_mode(self, sigma_ratio):
         ms = self._mixed(sigma_ratio)
         rp = sx.reparameterize(ms)
-        grid = sx.GridSpec.for_state(rp, n_points=256, margin=8.0)
+        r = rp.support_radius(8.0)
+        grid = sx.GridSpec(-r, r, 256)
         t0 = time.time()
         t = 1.3
         ens = sx.ensemble_average_density(ms, grid, t, method="monte-carlo",

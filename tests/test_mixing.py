@@ -387,7 +387,8 @@ class TestEnsembleAverage:
         # node-doubling guard must fire, and a 96-node rule must agree
         ms = mixed(A0=1.25, phi_sq=0.4, X_amp=SGR, phi_c=1.0, sigma_a=2 * SGR)
         rp = sx.reparameterize(ms)
-        grid = sx.GridSpec.for_state(rp, n_points=256, margin=8.0)
+        r = rp.support_radius(8.0)
+        grid = sx.GridSpec(-r, r, 256)
         with pytest.raises(sx.ConvergenceError, match="increase n_nodes") as guard:
             sx.ensemble_average_density(ms, grid, 1.3, 32)
         # the error carries the drift its message prints

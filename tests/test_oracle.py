@@ -122,7 +122,8 @@ class TestPropagate:
         spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25))
         # 8-sigma coverage passes the grid invariant but leaves ~1e-7 edge
         # amplitude, which the propagator's 1e-12 entry gate must reject
-        grid = sx.GridSpec.for_state(spec, n_points=512, margin=8.0)
+        r = spec.support_radius(8.0)
+        grid = sx.GridSpec(-r, r, 512)
         psi0 = sx.eval_pure_wavefunction(spec, grid, 0.0)
         with pytest.raises(sx.BoundaryError, match="edge amplitude"):
             sx.propagate(psi0, OSC, sx.PropagatorConfig(dt=T / 256, n_steps=8))
@@ -194,7 +195,8 @@ class TestPropagate:
 
     def test_schemes_cross_validate_at_reference_resolution(self):
         spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25, 0.3))
-        grid = sx.GridSpec.for_state(spec, n_points=4096, margin=11.0)
+        r = spec.support_radius(11.0)
+        grid = sx.GridSpec(-r, r, 4096)
         psi0 = sx.eval_pure_wavefunction(spec, grid, 0.0)
         a = sx.propagate(psi0, OSC, sx.PropagatorConfig(
             scheme="spectral-split-step", dt=T / 8192, n_steps=8192))
@@ -207,7 +209,8 @@ class TestPropagate:
         # divides it by ~4 (infidelity itself scales as dt^4 for a unitary
         # scheme; distance is the quantity with the quoted order)
         spec = sx.GaussianStateSpec(OSC, pure_squeeze(1.25, 0.3))
-        grid = sx.GridSpec.for_state(spec, n_points=4096, margin=11.0)
+        r = spec.support_radius(11.0)
+        grid = sx.GridSpec(-r, r, 4096)
         psi0 = sx.eval_pure_wavefunction(spec, grid, 0.0)
         dists = []
         for n_steps in (128, 256):

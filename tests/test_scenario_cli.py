@@ -342,6 +342,28 @@ class TestMomentumCoverage:
         cfg.write_text(json.dumps(config))
         assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
 
+    def test_an_automatic_grid_meets_the_propagator_entry_gate_in_si_units(self, tmp_path):
+        # an electron's |psi| peaks near 4.1e4 m^(-1/2); 12 maximal standard deviations left
+        # 9.445e-12 of it at the edges, and the propagator's 1e-12 entry gate stopped the run
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps({
+            "name": "electron",
+            "oscillator": {"mass": 9.109e-31, "angular_frequency": 1e15, "hbar": 1.0546e-34},
+            "squeeze": {"A0": 1.0}, "sample_times": [0.0, 1e-16], "outputs": ["verify"]}))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+
+    @pytest.mark.parametrize("config", [
+        *(json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))),
+        FAST_PURE, FAST_MIXED,
+        {"name": "nonunit", "oscillator": {"mass": 2.0, "angular_frequency": 1.5, "hbar": 0.7},
+         "squeeze": {"A0": 1.5, "dA": 1.25 ** 0.5}, "center": {"X_amp": 0.35}, "sigma_a": 0.2,
+         "outputs": ["verify"]},
+    ], ids=lambda config: config["name"])
+    def test_an_automatic_grid_in_natural_units_is_the_12_sigma_grid(self, config):
+        sc = parse_one({key: value for key, value in config.items() if key != "grid"})
+        radius = sc.spec.support_radius(12.0)
+        assert (sc.grid.x_min, sc.grid.x_max) == (-radius, radius)
+
     def test_an_automatic_grid_past_max_grid_points_exit_3_before_any_array(
             self, tmp_path, capsys, monkeypatch):
         built = []
@@ -966,15 +988,17 @@ class TestVerify:
         lines = verify_scenario(parse_one(json.loads(cfg.read_text())))
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
-    @pytest.mark.parametrize("n, densities", [(512, 6.0), (1024, 5.5)])
-    def test_the_working_set_of_a_mixed_verify(self, monkeypatch, n, densities):
-        # two probe densities, the ensemble result and the guard's real sums and result: 5.7
-        # densities at 512 points (with the 4 MiB [C | S] block) and 5.1 at 1024, where
-        # whole-block plane waves and whole-matrix temporaries held 13.2 and 10.1; the probe
+    @pytest.mark.parametrize("mc_check", [False, True])
+    @pytest.mark.parametrize("n, densities", [(512, 5.0), (1024, 4.5)])
+    def test_the_working_set_of_a_mixed_verify(self, monkeypatch, n, densities, mc_check):
+        # one probe density, the ensemble result and the guard's real sums and result: 4.5
+        # densities at 512 points (with the 4 MiB [C | S] block) and 4.1 at 1024, with or
+        # without Monte Carlo, where all three probe densities held 5.5 and 5.1, and
+        # whole-block plane waves and whole-matrix temporaries 13.2 and 10.1; the probe
         # densities from malloc, where tracemalloc sees them
         monkeypatch.setattr(states, "_own_pages", lambda n: np.empty((n, n), dtype=complex))
         sc = parse_one(dict(FAST_MIXED, grid={"x_min": -12.0, "x_max": 12.0, "n_points": n},
-                            sample_times=[0.0, 0.7, 1.9], outputs=["verify"]))
+                            sample_times=[0.0, 0.7, 1.9], outputs=["verify"], mc_check=mc_check))
         tracemalloc.start()
         try:
             lines = verify_scenario(sc)
@@ -1008,11 +1032,45 @@ class TestVerify:
     def test_each_probe_time_is_checked_once(self, monkeypatch, times):
         probed = []
         real = scenario.ensemble_average_density
-        monkeypatch.setattr(scenario, "ensemble_average_density",
-                            lambda spec, grid, t, *a, **k: probed.append(t) or real(spec, grid, t, *a, **k))
-        lines = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times)))
+
+        def recording(spec, grid, t, *args, method="gauss-hermite", **kwargs):
+            probed.append((method, t))
+            return real(spec, grid, t, *args, method=method, **kwargs)
+
+        monkeypatch.setattr(scenario, "ensemble_average_density", recording)
+        lines = verify_scenario(parse_one(dict(FAST_MIXED, sample_times=times, mc_check=True)))
         assert all(ok for ok, _ in lines), lines
-        assert probed == times
+        # the Monte Carlo draw once, at the first probe, after its Gauss-Hermite comparison
+        assert probed == [("gauss-hermite", times[0]), ("monte-carlo", times[0]),
+                          *(("gauss-hermite", t) for t in times[1:])]
+
+    @pytest.mark.parametrize("mc_check", [False, True])
+    def test_one_closed_form_density_is_alive_at_a_time(self, monkeypatch, mc_check):
+        sc = parse_one(dict(FAST_MIXED, outputs=["verify"], mc_check=mc_check))
+        real_closed_form = scenario.eval_mixed_density
+        real_ensemble = scenario.ensemble_average_density
+        alive = []
+
+        def densities_alive():
+            gc.collect()
+            return len([o for o in gc.get_objects()
+                        if isinstance(o, sx.DensityMatrixSample) and o.grid is sc.grid])
+
+        def closed_form(spec, grid, t):
+            alive.append(("closed form", densities_alive()))
+            return real_closed_form(spec, grid, t)
+
+        def ensemble(*args, **kwargs):
+            alive.append(("ensemble", densities_alive()))
+            return real_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "eval_mixed_density", closed_form)
+        monkeypatch.setattr(scenario, "ensemble_average_density", ensemble)
+        lines = verify_scenario(sc)
+        assert all(ok for ok, _ in lines), lines
+        # the three probes: a closed form with none alive, then one beside each ensemble
+        first = [("closed form", 0), ("ensemble", 1)] + [("ensemble", 1)] * mc_check
+        assert alive == first + [("closed form", 0), ("closed form", 0), ("ensemble", 1)]
 
 
 def plant_norm_defect(monkeypatch, mixed: bool, scale: float) -> None:
@@ -1666,9 +1724,9 @@ class TestMonteCarloLine:
             assert captured.err == ""
             runs[seed] = captured.out.splitlines()
         (line,) = [ln for ln in runs["12345"] if ln.startswith("[fast_mixed] mc-agreement: ")]
-        assert line.startswith("[fast_mixed] mc-agreement: PASS "
-                               "(peak-relative rms at 1e5 samples, seed 12345 = ")
-        assert float(re.search(r" = (\S+), tol 0\.001,", line).group(1)) < 1e-3
+        # recorded while the draw still came after every closed form of the verify was built
+        assert line == ("[fast_mixed] mc-agreement: PASS (peak-relative rms at 1e5 samples, "
+                        "seed 12345 = 3.066e-04, tol 0.001, margin 6.934e-04)")
         changed = [(a, b) for a, b in zip(runs["12345"], runs["7"]) if a != b]
         assert len(runs["7"]) == len(runs["12345"])
         assert [a for a, _ in changed] == [line]

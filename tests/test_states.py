@@ -96,9 +96,10 @@ def bits(values):
 def resolved_gaussian_states(draw):
     """(spec, grid): a Gaussian state with P >= 1 on a grid of n >= 24 points that resolves it.
 
-    The grid spans X_amp + 8.5 maximal standard deviations each side, with more than
-    n points where its momenta need them; its spacing stays below 0.8 of the narrowest
-    x standard deviation, so the trapezoid trace of the density is 1 well within NORM_TOL.
+    The grid spans X_amp + 8.5 maximal standard deviations each side, with the points the
+    automatic grid takes from n, more than n where its momenta need them; its spacing stays
+    below 0.8 of the narrowest x standard deviation, so the trapezoid trace of the density is
+    1 well within NORM_TOL.
     """
     n = draw(st.integers(24, 300))
     P = draw(st.one_of(st.just(1.0), st.floats(1.0, 4.0)))
@@ -109,7 +110,8 @@ def resolved_gaussian_states(draw):
     squeeze = sx.SqueezeDynamics(A0, dA, draw(st.floats(0.0, 2 * np.pi)))
     center = sx.CenterTrajectory(draw(st.floats(0.0, 0.5)) * SGR, draw(st.floats(0.0, 2 * np.pi)))
     spec = sx.GaussianStateSpec(OSC, squeeze, center)
-    grid = sx.GridSpec.for_state(spec, n_points=n, margin=8.5)
+    r = spec.support_radius(8.5)
+    grid = dataclasses.replace(sx.GridSpec.for_state(spec, n_points=n), x_min=-r, x_max=r)
     assume(grid.spacing <= 0.8 * np.sqrt(SGR2 * (A0 - dA)))
     return spec, grid
 
@@ -252,6 +254,20 @@ class TestTypeInvariants:
         assert grid.n_points == 1024
         with pytest.raises(sx.CoverageError, match="resolves momenta"):
             grid.require_coverage(far)
+
+    @pytest.mark.parametrize("mass, widened", [(1.0, False), (1e10, False), (1e16, True)])
+    def test_for_state_keeps_psi_below_the_entry_gate_at_its_edges_in_any_units(
+            self, mass, widened):
+        # |psi| peaks at (2 pi sigma_gr^2 (A0 - dA))^(-1/4): 237 at m = 1e10 and 7.5e3 at
+        # m = 1e16, where 12 maximal standard deviations leave 1.742e-12 at an edge
+        osc = sx.OscillatorConfig(mass=mass)
+        spec = sx.GaussianStateSpec(osc, sx.SqueezeDynamics(1.0), sx.CenterTrajectory(
+            3.0 * np.sqrt(osc.ground_variance)))
+        grid = sx.GridSpec.for_state(spec, 256)
+        radius = spec.support_radius(states.GRID_SIGMAS)
+        assert grid.x_max > radius if widened else grid.x_max == radius
+        edges = sx.eval_pure_wavefunction(spec, grid, 0.0).values[[0, -1]]
+        assert np.abs(edges).max() < states.EDGE_START_TOL
 
     def test_wavefunction_sample_rejects_unnormalized(self):
         grid = sx.GridSpec(-8.0, 8.0, 128)
@@ -569,7 +585,8 @@ class TestEvalPureDensity:
 def state_on(n, A0=1.0, dA=0.0):
     """A pure state centered at 0 on an n-point grid 8.5 maximal standard deviations wide."""
     spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(A0, dA, 0.3))
-    return spec, sx.GridSpec.for_state(spec, n_points=n, margin=8.5)
+    r = spec.support_radius(8.5)
+    return spec, sx.GridSpec(-r, r, n)
 
 
 class TestTiledKernels:

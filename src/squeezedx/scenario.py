@@ -38,6 +38,7 @@ from .states import (
     MAX_DENSITY_POINTS,
     OscillatorConfig,
     SqueezeDynamics,
+    _ode_terms,
     _peak_relative_error,
     _require_points,
     _require_pure,
@@ -46,7 +47,6 @@ from .states import (
     eval_pure_density,
     eval_pure_wavefunction,
     moments,
-    ode_residuals,
     quadrature_shape,
     schrodinger_residual,
     squeeze_from_initial_variance,
@@ -234,6 +234,16 @@ class Scenario:
             fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
         return tuple(fids)
 
+    @property
+    def density_rows(self) -> tuple:
+        """``_density_row`` at each sample time, built once per instance, one matrix at a time.
+        Cached without cached_property, whose lock Python 3.11 shares across all instances:
+        two scenarios' rows would build one after the other in ``run_scenarios``' pool."""
+        if "density_rows" not in self.__dict__:
+            self.__dict__["density_rows"] = tuple(_density_row(self, t)
+                                                  for t in self.sample_times)
+        return self.__dict__["density_rows"]
+
 
 def _parse_scenario(obj: dict) -> Scenario:
     """Read a scenario's keys, types and list shapes; Scenario judges its values."""
@@ -329,6 +339,14 @@ def density_at(sc: Scenario, t: float) -> DensityMatrixSample:
     return eval_pure_density(sc.spec, sc.grid, t)
 
 
+def _density_row(sc: Scenario, t: float) -> tuple:
+    """var_x, var_p, cov_xp, uncertainty product and purity of the closed-form density at t;
+    the matrix is freed on return, so the next row's is built with none other held."""
+    dm = density_at(sc, t)
+    mom = moments(dm, sc.osc)
+    return mom.var_x, mom.var_p, mom.cov_xp, mom.uncertainty_product, purity(dm)
+
+
 def emit_timeseries(sc: Scenario, path: Path) -> None:
     """Write the per-sample-time table; see TIMESERIES_COLUMNS for the layout.
 
@@ -339,16 +357,11 @@ def emit_timeseries(sc: Scenario, path: Path) -> None:
     omega = sc.osc.angular_frequency
     rows = []
     fidelities = [None] * len(sc.sample_times) if sc.is_mixed else sc.fidelities
-    for t, fid in zip(sc.sample_times, fidelities):
+    for t, density_row, fid in zip(sc.sample_times, sc.density_rows, fidelities):
         A, B = quadrature_shape(spec.squeeze, omega, t)
         x_c, p_c = center_state(spec.center, sc.osc, t)
-        dm = density_at(sc, t)
-        mom = moments(dm, sc.osc)
-        pur = purity(dm)
-        del dm  # so the next row's matrix is built with none other held
         phi = None if sc.is_mixed else accumulated_phase(spec.squeeze, spec.center, sc.osc, t)
-        rows.append((t, A, B, phi, x_c, p_c, mom.var_x, mom.var_p, mom.cov_xp,
-                     mom.uncertainty_product, pur, fid))
+        rows.append((t, A, B, phi, x_c, p_c, *density_row, fid))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMESERIES_COLUMNS) + "\n")
         for row in rows:
@@ -419,7 +432,13 @@ def _verify_pure(sc: Scenario):
     omega = osc.angular_frequency
     times = np.asarray(sc.sample_times)
 
-    rmax = float(np.max(ode_residuals(spec.squeeze, osc, times)))
+    # each residual in units of its equation's largest term over the sample times, so that a
+    # strong squeeze's round-off is not read as a defect; or of omega, where every term is
+    # smaller (r1 at dA = 0), as the central differences' round-off does not shrink with them
+    rmax = 0.0
+    for terms in _ode_terms(spec.squeeze, osc, times):
+        scale = max([omega] + [float(np.max(np.abs(term))) for term in terms])
+        rmax = max(rmax, float(np.max(np.abs(sum(terms)))) / scale)
     yield "ode-residuals", "max residual", rmax, 1e-6
 
     res = max(schrodinger_residual(spec, sc.grid, t) for t in _probe_times(sc))
@@ -558,12 +577,24 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
 
 
 def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
-    """Run scenarios in a pool, results in input order.  The output directory is made and
-    every product path checked first, then pure trajectories are stepped, here and one at a
-    time: two stepping loops in the pool would trade the GIL at every step."""
+    """Run scenarios in a pool, results in input order.
+
+    The output directory is made and every product path checked first.  Each timeseries'
+    density rows go to the pool, one task per scenario; while they build (releasing the GIL)
+    the pure trajectories are stepped here, one at a time, as two stepping loops in the pool
+    would trade the GIL at every step.  Only then does each scenario write its products and
+    verify in the pool, so a failing trajectory stops the command before any file.
+    """
     _prepare_out_dir(scenarios, out_dir)
-    for sc in scenarios:
-        if sc.steps:
-            sc.fidelities  # fills the cache, so no worker steps
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-        return list(pool.map(lambda sc: run_scenario(sc, out_dir, seed), scenarios))
+        rows = [pool.submit(lambda sc: sc.density_rows, sc) if "timeseries" in sc.outputs
+                else None for sc in scenarios]
+        for sc in scenarios:
+            if sc.steps:
+                sc.fidelities  # fills the cache, so no worker steps
+
+        def run(sc, built):
+            if built is not None:
+                built.result()  # raises a row's error; the rows are now cached on sc
+            return run_scenario(sc, out_dir, seed)
+        return list(pool.map(run, scenarios, rows))

@@ -511,6 +511,11 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
     The factors separate the mean coordinate sum s = (x+x')/2 - x_c and the
     separation d = x - x'; P = 1 is the pure state psi(x) psi*(x'), whose
     global phase cancels.  The matrix is filled one tile of rows at a time.
+
+    The exponent -(s^2 + P d^2/4)/c1 - i B s d/c1 + i p_c d/hbar, c1 = 2 sigma_gr^2 A, is
+    written in real arithmetic bit for bit as numpy's complex expression: that multiplies by
+    1/c1 to divide by the real-valued complex c1, its products add only zeros to these parts,
+    and its imaginary sum (0 - ...) + ... is never -0, so no zero's sign (B = -0.0) counts.
     """
     _require_points(grid.n_points)
     grid.require_coverage(spec)
@@ -518,6 +523,7 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
     s2 = osc.ground_variance
     A, B = quadrature_shape(spec.squeeze, osc.angular_frequency, t)
     x_c, p_c = center_state(spec.center, osc, t)
+    c1 = 2.0 * s2 * A
     x = grid.points()
     rho = _own_pages(x.size)
     for rows in _tiles(x.size, x.size, TILE_VALUES):
@@ -525,9 +531,9 @@ def _gaussian_density(spec: GaussianStateSpec, grid: GridSpec, t: float,
         s = 0.5 * (xi + x) - x_c
         d = xi - x
         tile = rho[rows]
-        np.exp(-(s * s + 0.25 * P * d * d) / (2.0 * s2 * A)
-               - 1j * B * s * d / (2.0 * s2 * A)
-               + 1j * p_c * d / osc.hbar, out=tile)
+        tile.real = -(s * s + 0.25 * P * d * d) / c1
+        tile.imag = (0.0 - (B * s) * d * (1.0 / c1)) + (p_c * d) * (1.0 / osc.hbar)
+        np.exp(tile, out=tile)
         tile /= np.sqrt(2.0 * np.pi * s2 * A)
     return DensityMatrixSample(grid=grid, values=rho, time=t)
 
@@ -559,9 +565,10 @@ def _diagonals(sample) -> tuple:
         rho = sample.values
         n = rho.shape[0]
         d1_diag, d2_diag = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-        # one tile of columns at a time; only the entries (j + c, c) on rho's diagonal are kept
+        # column c of a Hermitian rho is conj(row c), so its columns are read as contiguous
+        # tiles of conjugated rows; only the entries (j + c, c) on rho's diagonal are kept
         for cols in _tiles(n, n, TILE_VALUES):
-            d1, d2 = _spectral_derivatives(rho[:, cols], sample.grid)
+            d1, d2 = _spectral_derivatives(rho[cols].conj().T, sample.grid)
             d1_diag[cols] = np.diagonal(d1[cols.start:])
             d2_diag[cols] = np.diagonal(d2[cols.start:])
         return np.diagonal(rho).real, d1_diag, d2_diag
@@ -613,6 +620,13 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t):
     residual is meaningful as a negative control for non-pure parameter sets.
     A scalar t gives numpy float64 scalars.
     """
+    return tuple(np.abs(sum(terms)) / osc.angular_frequency
+                 for terms in _ode_terms(sq, osc, t))
+
+
+def _ode_terms(sq: SqueezeDynamics, osc: OscillatorConfig, t) -> tuple:
+    """The terms of r1, r2 and r3 of ``ode_residuals``, one tuple per equation; the
+    derivatives are central differences of the closed forms."""
     omega = osc.angular_frequency
     dt_fd = FD_STEP / omega
     t = np.asarray(t, dtype=float)
@@ -623,9 +637,9 @@ def ode_residuals(sq: SqueezeDynamics, osc: OscillatorConfig, t):
     B_dot = (Bp - Bm) / (2.0 * dt_fd)
     phi_dot = (_vacuum_phase(sq, omega, t + dt_fd)
                - _vacuum_phase(sq, omega, t - dt_fd)) / (2.0 * dt_fd)
-    return (np.abs(A_dot + 2.0 * omega * B) / omega,
-            np.abs(B * A_dot - A * B_dot - omega * (1.0 - B ** 2 - A ** 2)) / omega,
-            np.abs(phi_dot - omega / (2.0 * A)) / omega)
+    return ((A_dot, 2.0 * omega * B),
+            (B * A_dot, -A * B_dot, -omega * (1.0 - B ** 2 - A ** 2)),
+            (phi_dot, -omega / (2.0 * A)))
 
 
 def schrodinger_residual(spec: GaussianStateSpec, grid: GridSpec, t: float) -> float:

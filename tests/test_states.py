@@ -643,6 +643,87 @@ class TestTiledKernels:
         assert peak <= 24 * 2**20
 
 
+def column_diagonals(sample):
+    """``states._diagonals`` of a density as it was before it read conjugated rows: rho's
+    columns differentiated along axis 0 (whole-matrix; TestTiledKernels holds the column
+    tiles to it bit for bit)."""
+    return (np.diagonal(sample.values).real,
+            *whole_matrix_derivative_diagonals(sample.values, sample.grid))
+
+
+def moment_bits(m):
+    return [v.hex() for v in dataclasses.astuple(m)]
+
+
+NONUNIT_OSC = sx.OscillatorConfig(mass=2.0, angular_frequency=1.5, hbar=0.7)
+
+
+class TestRealArithmeticKernels:
+    """The density build and its derivative diagonals against the complex exponent and the
+    column derivatives they replaced, bit for bit: signed zeros count."""
+
+    # (osc, A0, dA, phi_sq, X_amp in sigma_gr, sigma_a in sigma_gr, n, half-width in max std)
+    # At t = 2 the phase 2 omega t + phi_sq has a negative sine, so a dA = 0 state has
+    # B = -0.0 there; on +-40 max std the corner entries underflow to zero.  Sixteen points
+    # cover no state to 8 std devs, but hold the ground state's trace to NORM_TOL on +-6.5.
+    CASES = {
+        "ground-n16": (OSC, 1.0, 0.0, 0.0, 0.0, 0.0, 16, 6.5),
+        "squeezed-n129": (OSC, 1.25, 0.75, 0.4, 0.0, 0.0, 129, 8.5),
+        "displaced-nonunit-n300": (NONUNIT_OSC, 1.25, 0.75, 0.7, 2.0, 0.0, 300, 12.0),
+        "mixed-displaced-n300": (OSC, 1.5, 1.25 ** 0.5, 0.4, 1.4, 0.85, 300, 12.0),
+        "mixed-dA0-nonunit-n129": (NONUNIT_OSC, 1.0, 0.0, 0.0, 0.0, 0.9, 129, 8.5),
+        "displaced-n1024": (OSC, 1.25, 0.75, 0.7, 2.8, 0.0, 1024, 12.0),
+        "mixed-dA0-n1024": (OSC, 1.0, 0.0, 0.0, 1.0, 0.5, 1024, 12.0),
+        "ground-underflow-n1024": (OSC, 1.0, 0.0, 0.0, 0.0, 0.0, 1024, 40.0),
+    }
+
+    @staticmethod
+    def state(osc, A0, dA, phi_sq, X_amp, sigma_a, n, sigmas):
+        sgr = np.sqrt(osc.ground_variance)
+        base = sx.GaussianStateSpec(osc, sx.SqueezeDynamics(A0, dA, phi_sq),
+                                    sx.CenterTrajectory(X_amp * sgr, 0.3))
+        spec = sx.reparameterize(sx.MixedGaussianSpec(base, sigma_a * sgr))
+        r = spec.support_radius(sigmas)
+        return spec, sx.GridSpec(-r, r, n)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7, 2.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equal_the_complex_exponent_and_column_derivatives(self, case, t):
+        spec, grid = self.state(*self.CASES[case])
+        A, B = sx.quadrature_shape(spec.squeeze, spec.osc.angular_frequency, t)
+        if spec.squeeze.dA == 0.0 and t == 2.0:
+            assert B == 0.0 and np.signbit(B)
+        with pytest.MonkeyPatch.context() as mp:
+            if grid.n_points == 16:  # the fewest a grid may have: no state's 8 std devs fit
+                mp.setattr(sx.GridSpec, "require_coverage", lambda grid, spec: None)
+            dm = states._gaussian_density(spec, grid, t, spec.purity_product)
+        want = whole_matrix_density(spec, grid, t, spec.purity_product)
+        assert np.array_equal(bits(dm.values), bits(want))
+        if case == "ground-underflow-n1024":
+            assert dm.values[0, 0] == 0.0 and dm.values[0, -1] == 0.0
+        for got, ref in zip(states._diagonals(dm), column_diagonals(dm)):
+            assert np.array_equal(bits(got), bits(ref))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "_diagonals", column_diagonals)
+            ref = sx.moments(dm, spec.osc)
+        assert moment_bits(sx.moments(dm, spec.osc)) == moment_bits(ref)
+
+    @pytest.mark.parametrize("t", [0.0, 2.0])
+    def test_moments_of_a_gauss_hermite_density_equal_the_column_moments(self, t):
+        base = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.5, 1.25 ** 0.5, 0.4),
+                                    sx.CenterTrajectory(1.0, 0.3))
+        mixed = sx.MixedGaussianSpec(base, 0.6)
+        spec = sx.reparameterize(mixed)
+        r = spec.support_radius(12.0)
+        dm = sx.ensemble_average_density(mixed, sx.GridSpec(-r, r, 256), t, 32)
+        # exactly Hermitian, so its columns are its conjugated rows
+        assert np.array_equal(dm.values, dm.values.conj().T)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(states, "_diagonals", column_diagonals)
+            ref = sx.moments(dm, OSC)
+        assert moment_bits(sx.moments(dm, OSC)) == moment_bits(ref)
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .states import (
     DensityMatrixSample,
     GaussianStateSpec,
     GridSpec,
-    MAX_DENSITY_POINTS,
     OscillatorConfig,
     SqueezeDynamics,
     _ode_terms,
@@ -73,12 +72,9 @@ TIMESERIES_COLUMNS = ("t", "A", "B", "phi", "x_c", "p_c", "var_x", "var_p",
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
-# Bounds that Scenario checks before anything is allocated.  A mixed verify holds one closed-form
-# density beside the ensemble's result, its sums and its guard's result, 4.0 densities in all
-# (tracemalloc; 257.6 MiB at 2048 points): about 1 GiB for each of up to 4 pooled scenarios at
-# 4096, not measured, so mixed grids stop at 2048.  2**12 sample times are 64 periods at 64 per
-# period.  states bounds a pure grid and oracle the steps.
-MAX_MIXED_GRID_POINTS = 2048
+# Bounds that Scenario checks before anything is allocated.  2**12 sample times are 64 periods
+# at 64 per period.  states bounds the N x N grid, pure or mixed, and oracle the steps; a mixed
+# verify peaks at 4.0 densities (tracemalloc: 1025.7 MiB at 4096 points), one scenario at a time.
 MAX_SAMPLE_TIMES = 2**12
 
 
@@ -174,8 +170,7 @@ class Scenario:
                                  f"expected {PRODUCTS}")
             if self.outputs.count(p) > 1:
                 raise ParseError(f"{ctx}.outputs lists product {p!r} more than once")
-        _named(f"{ctx}.grid", _require_points, grid.n_points,
-               MAX_MIXED_GRID_POINTS if self.is_mixed else MAX_DENSITY_POINTS)
+        _named(f"{ctx}.grid", _require_points, grid.n_points)
         _named(f"{ctx}.propagator", PropagatorConfig, self.scheme, dt=dt, n_steps=1)
         if len(times) > MAX_SAMPLE_TIMES:
             raise InvariantError(f"{ctx}: {len(times)} sample_times, more than {MAX_SAMPLE_TIMES}")
@@ -236,13 +231,15 @@ class Scenario:
 
     @property
     def density_rows(self) -> tuple:
-        """``_density_row`` at each sample time, built once per instance, one matrix at a time.
-        Cached without cached_property, whose lock Python 3.11 shares across all instances:
-        two scenarios' rows would build one after the other in ``run_scenarios``' pool."""
-        if "density_rows" not in self.__dict__:
-            self.__dict__["density_rows"] = tuple(_density_row(self, t)
-                                                  for t in self.sample_times)
-        return self.__dict__["density_rows"]
+        """``_density_row`` at each sample time, built once per instance, one matrix at a time."""
+        return self.__dict__.get("density_rows") or self._build_rows()
+
+    def _build_rows(self, stopped=lambda: False):
+        """Build and cache ``density_rows``; no row starts once ``stopped()`` is true, and then
+        none is cached.  Not cached_property, whose lock Python 3.11 shares across all
+        instances: two scenarios' rows would build one after the other in the pool."""
+        rows = tuple(_density_row(self, t) for t in self.sample_times if not stopped())
+        return None if stopped() else self.__dict__.setdefault("density_rows", rows)
 
 
 def _parse_scenario(obj: dict) -> Scenario:
@@ -577,24 +574,26 @@ def run_scenario(sc: Scenario, out_dir: Path, seed: int = DEFAULT_SEED) -> Scena
 
 
 def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
-    """Run scenarios in a pool, results in input order.
+    """Run scenarios, results in input order.
 
-    The output directory is made and every product path checked first.  Each timeseries'
-    density rows go to the pool, one task per scenario; while they build (releasing the GIL)
-    the pure trajectories are stepped here, one at a time, as two stepping loops in the pool
-    would trade the GIL at every step.  Only then does each scenario write its products and
-    verify in the pool, so a failing trajectory stops the command before any file.
+    The output directory is made and every product path checked first.  The pool's one job is
+    the timeseries' density rows, one task per scenario, which build (releasing the GIL) while
+    the pure trajectories step here one at a time: two stepping loops would trade the GIL at
+    each step.  A failed step or row stops the row tasks and is raised before any file is
+    written.  Then each scenario in turn writes its products and runs its checks here.
     """
+    import threading  # loaded with concurrent.futures; not a cost of loading squeezedx
     _prepare_out_dir(scenarios, out_dir)
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-        rows = [pool.submit(lambda sc: sc.density_rows, sc) if "timeseries" in sc.outputs
-                else None for sc in scenarios]
-        for sc in scenarios:
-            if sc.steps:
-                sc.fidelities  # fills the cache, so no worker steps
-
-        def run(sc, built):
-            if built is not None:
+        rows = [pool.submit(sc._build_rows, stop.is_set) for sc in scenarios
+                if "timeseries" in sc.outputs]
+        try:
+            for sc in scenarios:
+                if sc.steps:
+                    sc.fidelities  # fills the cache, so no worker steps
+            for built in rows:
                 built.result()  # raises a row's error; the rows are now cached on sc
-            return run_scenario(sc, out_dir, seed)
-        return list(pool.map(run, scenarios, rows))
+        finally:
+            stop.set()  # after an error, no row task starts another row
+    return [run_scenario(sc, out_dir, seed) for sc in scenarios]

@@ -280,16 +280,16 @@ class WavefunctionSample:
 TILE_VALUES = 2**14
 
 
-# Most points of an N x N density.  One complex matrix at 4096 points takes 256 MiB, and a
-# timeseries row adds only tiles to it (row peak measured with tracemalloc at 2048 points:
-# 65.0 MiB for a 64 MiB matrix).
+# Most points of an N x N density, pure or mixed.  One complex matrix at 4096 points takes
+# 256 MiB, and a timeseries row adds only tiles to it (row peak measured with tracemalloc at
+# 2048 points: 65.0 MiB for a 64 MiB matrix).
 MAX_DENSITY_POINTS = 4096
 
 
-def _require_points(n_points: int, bound: int = MAX_DENSITY_POINTS) -> None:
-    """Raise unless an N x N matrix on ``n_points`` points stays within ``bound`` points."""
-    if n_points > bound:
-        raise InvariantError(f"n_points={n_points} exceeds {bound}")
+def _require_points(n_points: int) -> None:
+    """Raise unless an N x N matrix on ``n_points`` points stays within MAX_DENSITY_POINTS."""
+    if n_points > MAX_DENSITY_POINTS:
+        raise InvariantError(f"n_points={n_points} exceeds {MAX_DENSITY_POINTS}")
 
 
 def _tiles(count: int, size: int, budget: int) -> list:

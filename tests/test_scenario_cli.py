@@ -283,7 +283,7 @@ class TestMomentumCoverage:
         R = sgr * (X + 8.0 * math.sqrt(A0 + s * s + dA))
         x_min, x_max = -left * R, right * R
         need = 1.0 + (x_max - x_min) * mass * omega * R / (math.pi * hbar)
-        bound = scenario.MAX_MIXED_GRID_POINTS if s else states.MAX_DENSITY_POINTS
+        bound = states.MAX_DENSITY_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
@@ -304,10 +304,9 @@ class TestMomentumCoverage:
     @settings(max_examples=200, deadline=None)
     def test_an_automatic_grid_has_the_fewest_points_that_resolve_the_momenta(
             self, mass, omega, hbar, r, X, s):
-        # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256, 2048
-        # and 4096
+        # X (in sigma_gr) up to 150 asks for up to about X^2/pi points: past 1024, 256 and 4096
         sgr = math.sqrt(hbar / (2.0 * mass * omega))
-        bound = scenario.MAX_MIXED_GRID_POINTS if s else states.MAX_DENSITY_POINTS
+        bound = states.MAX_DENSITY_POINTS
         try:
             sc = parse_one({
                 "name": "p", "oscillator": {"mass": mass, "angular_frequency": omega, "hbar": hbar},
@@ -380,14 +379,14 @@ class TestMomentumCoverage:
         assert not built
 
     @pytest.mark.parametrize("config, message", [
-        ({"grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 2049}},
-         "scenario 'm'.grid: n_points=2049 exceeds 2048"),
-        ({"center": {"X_amp": 60.0}}, "scenario 'm'.grid: n_points=3001 exceeds 2048"),
+        ({"grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 4097}},
+         "scenario 'm'.grid: n_points=4097 exceeds 4096"),
+        ({"center": {"X_amp": 72.0}}, "scenario 'm'.grid: n_points=4141 exceeds 4096"),
     ], ids=["given", "automatic"])
-    def test_a_mixed_grid_past_max_mixed_grid_points_exit_3_before_any_array(
+    def test_a_mixed_grid_past_max_density_points_exit_3_before_any_array(
             self, tmp_path, capsys, monkeypatch, config, message):
-        # both grids are within states.MAX_DENSITY_POINTS; the automatic one needs 3001 points
-        # to resolve the momentum support 66.9282
+        # a mixed grid has the pure bound; the automatic one needs 4141 points to resolve the
+        # momentum support 78.9282
         built = []
         for name in ("eval_mixed_density", "ensemble_average_density", "eval_pure_density"):
             monkeypatch.setattr(scenario, name, lambda *args, **kwargs: built.append(args))
@@ -397,6 +396,12 @@ class TestMomentumCoverage:
         assert cli.main(["run", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"invariant violation: {message}\n"
         assert not built
+
+    def test_a_mixed_grid_of_max_density_points_parses(self):
+        sc = parse_one({"name": "m", "squeeze": {"A0": 1.0}, "sigma_a": 0.5,
+                        "grid": {"x_min": -12.0, "x_max": 12.0, "n_points": 4096},
+                        "outputs": ["timeseries", "density", "verify"]})
+        assert sc.is_mixed and sc.grid.n_points == states.MAX_DENSITY_POINTS == 4096
 
 
 class TestScenarioRules:
@@ -977,6 +982,69 @@ class TestPool:
             assert [f.name for f in p.files] == [f.name for f in s.files]
             for pf, sf in zip(p.files, s.files):
                 assert pf.read_bytes() == sf.read_bytes()
+
+    def test_products_and_checks_run_on_the_calling_thread_one_scenario_at_a_time(
+            self, tmp_path, monkeypatch):
+        # a sleep inside each call widens the window in which two could overlap
+        real_run_scenario = scenario.run_scenario
+        counter = threading.Lock()
+        calls, in_flight, peak = [], [0], [0]
+
+        def watched_run_scenario(sc, out_dir, seed):
+            calls.append((sc.name, threading.get_ident()))
+            with counter:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.005)
+                return real_run_scenario(sc, out_dir, seed)
+            finally:
+                with counter:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(scenario, "run_scenario", watched_run_scenario)
+        scenarios = [*small_pure_scenarios(), parse_one(FAST_MIXED)]
+        results = scenario.run_scenarios(scenarios, tmp_path)
+        assert all(r.verified for r in results)
+        assert [name for name, _ in calls] == [sc.name for sc in scenarios]
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+        assert peak[0] == 1
+
+    def test_a_failed_trajectory_stops_the_row_tasks_before_their_next_row(
+            self, tmp_path, monkeypatch):
+        # the first scenario trips the propagator's 1e-12 entry gate at its first step; each
+        # row sleeps, so both tasks have most of their 32 rows to go.  A row that starts after
+        # the failing propagate raised had passed its task's stop check: at most one per task
+        real_propagate, real_density_at = scenario.propagate, scenario.density_at
+        raised, late = [], []
+
+        def failing_propagate(psi, osc, cfg):
+            try:
+                return real_propagate(psi, osc, cfg)
+            except sx.BoundaryError:
+                raised.append(True)
+                raise
+
+        def slow_density_at(sc, t):
+            if raised:
+                late.append(sc.name)
+            time.sleep(0.01)
+            return real_density_at(sc, t)
+
+        monkeypatch.setattr(scenario, "propagate", failing_propagate)
+        monkeypatch.setattr(scenario, "density_at", slow_density_at)
+        good = dict(FAST_PURE, name="good", squeeze={"A0": 1.0}, outputs=["timeseries"],
+                    sample_times=[k * 2 * np.pi / 32 for k in range(32)])
+        bad = dict(good, name="bad", grid={"x_min": -5.7, "x_max": 5.7, "n_points": 128})
+        scenarios = parse_config(json.dumps({"scenarios": [bad, good]}))
+        out = tmp_path / "o"
+        with pytest.raises(sx.BoundaryError, match="boundary contamination in the initial "
+                                                   "state: edge amplitude 6.616e-08"):
+            scenario.run_scenarios(scenarios, out)
+        assert raised and all(late.count(name) <= 1 for name in ("bad", "good"))
+        # a stopped task caches no rows
+        assert not any("density_rows" in sc.__dict__ for sc in scenarios)
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestVerify:

@@ -17,7 +17,9 @@ are provided so no verification ever leans on a single scheme's bias:
   Spectrally accurate in space, second order in time.
 
 Both keep the state away from the grid edges; amplitude above 1e-8 at an
-edge aborts the run rather than silently wrapping or reflecting.
+edge aborts the run rather than silently wrapping or reflecting.  Both edge
+gates read |psi| in units of l^(-1/2), where l^2 = hbar/(m omega) = 2 sigma_gr^2
+is the oscillator's own length, so a verdict does not depend on the units.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import BoundaryError, GridMismatchError, InvariantError
 from .states import (
-    EDGE_START_TOL,
     DensityMatrixSample,
     GridSpec,
     OscillatorConfig,
@@ -48,7 +49,9 @@ __all__ = [
 
 SCHEMES = ("implicit-unitary", "spectral-split-step")
 
-# Per-step contamination guard.
+# The most |psi| a propagation may start from at a grid edge, and the per-step
+# contamination guard; both in units of l^(-1/2), l^2 = hbar/(m omega).
+EDGE_START_TOL = 1e-12
 EDGE_GUARD = 1e-8
 # Most steps a trajectory or one propagate call may take: 128 periods at dt = T/8192,
 # the default step.
@@ -133,7 +136,7 @@ def _check_edges(psi: np.ndarray, threshold: float, scheme: str = "",
 
 
 def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                          dt: float, n_steps: int, start: int) -> np.ndarray:
+                          dt: float, n_steps: int, start: int, guard: float) -> np.ndarray:
     k = grid.wavenumbers()
     v = _potential(grid, osc)
     half_kick = np.exp(-0.5j * v * dt / osc.hbar)
@@ -143,14 +146,14 @@ def _propagate_split_step(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig
     psi = half_kick * psi
     for step in range(n_steps):
         psi = np.fft.ifft(drift * np.fft.fft(psi))
-        _check_edges(psi, EDGE_GUARD, "split", start + step + 1)
+        _check_edges(psi, guard, "split", start + step + 1)
         if step != n_steps - 1:
             psi = full_kick * psi
     return half_kick * psi
 
 
 def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
-                      dt: float, n_steps: int, start: int) -> np.ndarray:
+                      dt: float, n_steps: int, start: int, guard: float) -> np.ndarray:
     # scipy.linalg costs ~0.35 s to import and only this scheme needs it
     from scipy.linalg import lapack
 
@@ -173,7 +176,7 @@ def _propagate_cayley(psi: np.ndarray, grid: GridSpec, osc: OscillatorConfig,
         psi, info = lapack.zgttrs(*lu, rhs, overwrite_b=1)
         if info:
             raise InvariantError(f"implicit step {start + step + 1}: zgttrs info = {info}")
-        _check_edges(psi, EDGE_GUARD, "implicit", start + step + 1)
+        _check_edges(psi, guard, "implicit", start + step + 1)
     return psi
 
 
@@ -182,20 +185,21 @@ def propagate(psi0: WavefunctionSample, osc: OscillatorConfig,
     """Propagate ``psi0`` by n_steps * dt under the oscillator Hamiltonian.
 
     The initial state must effectively vanish at the grid edges
-    (|psi| < 1e-12); a BoundaryError is raised if any step pushes edge
-    amplitude above 1e-8.  A state returned by ``propagate`` continues
-    under the per-step guard alone, so a trajectory's verdict does not
-    depend on how many calls it is split into.  Nor does an error message:
-    it counts steps on the trajectory's clock, the one ending at time t
-    being step round(t / dt).
+    (|psi| <= 1e-12); a BoundaryError is raised if any step pushes edge
+    amplitude above 1e-8.  Both bounds are in units of l^(-1/2), where
+    l^2 = hbar/(m omega) = 2 sigma_gr^2, so they are 1e-12 and 1e-8 in
+    natural units.  A state returned by ``propagate`` continues under the
+    per-step guard alone, so a trajectory's verdict does not depend on how
+    many calls it is split into.  Nor does an error message: it counts
+    steps on the trajectory's clock, the one ending at time t being step
+    round(t / dt).
     """
+    unit = (2.0 * osc.ground_variance) ** -0.25
     if not isinstance(psi0, _Propagated):
-        _check_edges(psi0.values, EDGE_START_TOL)
+        _check_edges(psi0.values, EDGE_START_TOL * unit)
     start = _step(psi0.time, cfg.dt)
-    if cfg.scheme == "spectral-split-step":
-        values = _propagate_split_step(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start)
-    else:
-        values = _propagate_cayley(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start)
+    step = _propagate_split_step if cfg.scheme == "spectral-split-step" else _propagate_cayley
+    values = step(psi0.values, psi0.grid, osc, cfg.dt, cfg.n_steps, start, EDGE_GUARD * unit)
     return _Propagated(grid=psi0.grid, values=values, time=psi0.time + cfg.n_steps * cfg.dt)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
@@ -582,7 +583,6 @@ def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
     each step.  A failed step or row stops the row tasks and is raised before any file is
     written.  Then each scenario in turn writes its products and runs its checks here.
     """
-    import threading  # loaded with concurrent.futures; not a cost of loading squeezedx
     _prepare_out_dir(scenarios, out_dir)
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:

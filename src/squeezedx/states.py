@@ -65,10 +65,8 @@ FD_STEP = 1e-6
 # the classical turning points of the state they sample.
 COVERAGE_SIGMAS = 8.0
 
-# The automatic grid's least half-width past the turning points, in maximal standard
-# deviations; and the most |psi| a propagation may start from at a grid edge.
+# The automatic grid's half-width past the turning points, in maximal standard deviations.
 GRID_SIGMAS = 12.0
-EDGE_START_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,10 +83,10 @@ class OscillatorConfig:
         m, omega, hbar = self.mass, self.angular_frequency, self.hbar
         if not (m > 0 and omega > 0 and hbar > 0 and 2.0 * m * omega > 0.0
                 and all(0.0 < q < np.inf for q in (
-                    self.ground_variance, self.period, hbar * hbar, hbar * hbar / m,
+                    2.0 * self.ground_variance, self.period, hbar * hbar, hbar * hbar / m,
                     omega * omega, m * omega * omega, m * omega * omega / hbar))):
             raise InvariantError(
-                "oscillator constants need m, omega, hbar > 0 with hbar/(2 m omega), the period, "
+                "oscillator constants need m, omega, hbar > 0 with hbar/(m omega), the period, "
                 "hbar^2, hbar^2/m, omega^2, m omega^2 and m omega^2/hbar positive and finite: "
                 f"got m={m}, omega={omega}, hbar={hbar}")
 
@@ -191,14 +189,10 @@ class GridSpec:
         """Symmetric grid with the fewest points from ``n_points`` up that resolve the momenta of
         ``spec``, or ``n_points`` if none below sys.maxsize does.
 
-        It spans GRID_SIGMAS std devs past X_amp, or more where |psi|, which peaks at (2 pi
-        sigma_gr^2 (A0 - dA))^(-1/4) (about 4e4 for an electron in SI units), would stay above
-        EDGE_START_TOL / 10 at the edges.  ``require_coverage`` judges the grid where it is used.
+        It spans GRID_SIGMAS std devs past X_amp.  ``require_coverage`` judges the grid where
+        it is used.
         """
-        sq = spec.squeeze  # the log of the peak as a sum, since the product may underflow
-        log_peak = -0.25 * (np.log(2.0 * np.pi * spec.osc.ground_variance) + np.log(sq.A0 - sq.dA))
-        radius = spec.support_radius(max(GRID_SIGMAS, 2.0 * np.sqrt(
-            max(0.0, log_peak - np.log(EDGE_START_TOL / 10.0)))))
+        radius = spec.support_radius(GRID_SIGMAS)
         grid = cls(-radius, radius, n_points)
         n = bisect_left(range(sys.maxsize), grid._momenta(spec)[1], lo=n_points,
                         key=lambda k: replace(grid, n_points=k)._momenta(spec)[0])
@@ -350,7 +344,7 @@ class DensityMatrixSample:
                 f"density sample shape {self.values.shape} does not match grid ({n}, {n})"
             )
         scale, herm = _peak_and_hermiticity_defect(self.values)
-        if not herm <= 1e-10 * max(scale, 1.0):
+        if not herm <= 1e-10 * scale:
             raise InvariantError(
                 f"density Hermiticity invariant violated: max |rho - rho^H| = {herm!r}"
             )

@@ -113,10 +113,10 @@ def plant(monkeypatch, home, name: str, old: str, new: str) -> None:
 
 
 def imaginary_diagonal(fraction: float) -> tuple:
-    """``_gaussian_density`` adds i * fraction * 1e-10 * max(peak, 1) to the diagonal."""
+    """``_gaussian_density`` adds i * fraction * 1e-10 * peak to the diagonal."""
     ret = "return DensityMatrixSample(grid=grid, values=rho, time=t)"
     return (states, "_gaussian_density", ret,
-            f"rho[np.diag_indices(x.size)] += {fraction}e-10j * max(np.abs(rho).max(), 1.0); {ret}")
+            f"rho[np.diag_indices(x.size)] += {fraction}e-10j * np.abs(rho).max(); {ret}")
 
 
 def survives(item: str):

@@ -128,6 +128,27 @@ class TestPropagate:
         with pytest.raises(sx.BoundaryError, match="edge amplitude"):
             sx.propagate(psi0, OSC, sx.PropagatorConfig(dt=T / 256, n_steps=8))
 
+    @pytest.mark.parametrize("osc", [
+        OSC, sx.OscillatorConfig(mass=1e20, hbar=1e-20),
+        sx.OscillatorConfig(mass=9.109e-31, angular_frequency=1e15, hbar=1.0546e-34),
+    ], ids=["natural", "m=1e20,hbar=1e-20", "electron-si"])
+    def test_the_entry_gate_refuses_each_unit_image_alike(self, osc):
+        # a ground state on +-8 sigma_gr keeps 8.453e-08 l^(-1/2) at its edges, l^2 =
+        # hbar/(m omega); the gate reads its 1e-12 in the same unit, so every image is refused
+        # with the message of natural units, both figures scaled by l^(-1/2)
+        spec = sx.GaussianStateSpec(osc, sx.SqueezeDynamics(1.0))
+        r = spec.support_radius(8.0)
+        psi0 = sx.eval_pure_wavefunction(spec, sx.GridSpec(-r, r, 128), 0.0)
+        with pytest.raises(sx.BoundaryError) as caught:
+            sx.propagate(psi0, osc, sx.PropagatorConfig(dt=osc.period / 256, n_steps=8))
+        edge, tol = re.fullmatch(r"boundary contamination in the initial state: edge amplitude "
+                                 r"(\S+) exceeds (\S+); enlarge the grid", str(caught.value)).groups()
+        unit = (2.0 * osc.ground_variance) ** -0.25
+        assert float(edge) / unit == pytest.approx(8.453e-08, rel=1e-3)
+        assert float(tol) / unit == pytest.approx(1e-12, rel=1e-5)
+        if osc == OSC:
+            assert (edge, tol) == ("8.453e-08", "1e-12")
+
     def test_continued_state_is_held_to_the_step_guard(self):
         # after T/4 this state has 1.951e-10 at an edge: above the entry gate, below the guard
         spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.25, 0.75, np.pi))

@@ -109,6 +109,19 @@ VERIFY_LINES = {
     ],
 }
 
+# Pure states on their automatic grids far from natural units: an electron in SI units, and
+# m = 1e20 with hbar = 1e-20, unsqueezed and squeezed
+UNIT_IMAGES = (
+    {"name": "electron",
+     "oscillator": {"mass": 9.109e-31, "angular_frequency": 1e15, "hbar": 1.0546e-34},
+     "squeeze": {"A0": 1.0}, "sample_times": [0.0, 1e-16], "outputs": ["verify"]},
+    {"name": "heavy", "oscillator": {"mass": 1e20, "hbar": 1e-20}, "squeeze": {"A0": 1.0},
+     "sample_times": [0.0, 1.0], "outputs": ["verify"]},
+    {"name": "heavy_squeezed", "oscillator": {"mass": 1e20, "hbar": 1e-20},
+     "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.4}, "center": {"X_amp": 1e-20},
+     "outputs": ["verify"]},
+)
+
 CHECK_LINE = re.compile(r"^\[\S+\] \S+: (PASS|FAIL) \(.+ = \S+, tol \S+, margin \S+\)$")
 
 
@@ -342,14 +355,13 @@ class TestMomentumCoverage:
         cfg.write_text(json.dumps(config))
         assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
 
-    def test_an_automatic_grid_meets_the_propagator_entry_gate_in_si_units(self, tmp_path):
-        # an electron's |psi| peaks near 4.1e4 m^(-1/2); 12 maximal standard deviations left
-        # 9.445e-12 of it at the edges, and the propagator's 1e-12 entry gate stopped the run
+    @pytest.mark.parametrize("config", UNIT_IMAGES, ids=lambda config: config["name"])
+    def test_an_automatic_grid_meets_the_propagator_gates_in_any_units(self, tmp_path, config):
+        # |psi| peaks near 4.1e4 m^(-1/2) for the electron and 7.5e9 for the heavy states.  Read
+        # in absolute units, the electron's edges (9.4e-12) tripped the 1e-12 entry gate, and
+        # the heavy states' split-step round-off (7.1e-7 and 1.1e-6) the 1e-8 step guard
         cfg = tmp_path / "sc.json"
-        cfg.write_text(json.dumps({
-            "name": "electron",
-            "oscillator": {"mass": 9.109e-31, "angular_frequency": 1e15, "hbar": 1.0546e-34},
-            "squeeze": {"A0": 1.0}, "sample_times": [0.0, 1e-16], "outputs": ["verify"]}))
+        cfg.write_text(json.dumps(config))
         assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
 
     @pytest.mark.parametrize("config", [
@@ -358,8 +370,9 @@ class TestMomentumCoverage:
         {"name": "nonunit", "oscillator": {"mass": 2.0, "angular_frequency": 1.5, "hbar": 0.7},
          "squeeze": {"A0": 1.5, "dA": 1.25 ** 0.5}, "center": {"X_amp": 0.35}, "sigma_a": 0.2,
          "outputs": ["verify"]},
+        *UNIT_IMAGES,
     ], ids=lambda config: config["name"])
-    def test_an_automatic_grid_in_natural_units_is_the_12_sigma_grid(self, config):
+    def test_an_automatic_grid_in_any_units_is_the_12_sigma_grid(self, config):
         sc = parse_one({key: value for key, value in config.items() if key != "grid"})
         radius = sc.spec.support_radius(12.0)
         assert (sc.grid.x_min, sc.grid.x_max) == (-radius, radius)
@@ -1100,7 +1113,8 @@ class TestVerify:
         assert all(CHECK_LINE.match(ln) for _, ln in lines), lines
 
     @pytest.mark.parametrize("mc_check", [False, True])
-    @pytest.mark.parametrize("n, densities", [(512, 5.0), (1024, 4.5)])
+    @pytest.mark.parametrize("n, densities", [
+        (512, 5.0), pytest.param(1024, 4.5, marks=pytest.mark.slow)])
     def test_the_working_set_of_a_mixed_verify(self, monkeypatch, n, densities, mc_check):
         # one probe density, the ensemble result and the guard's real sums and result: 4.5
         # densities at 512 points (with the 4 MiB [C | S] block) and 4.1 at 1024, with or

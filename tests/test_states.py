@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import squeezedx as sx
-from squeezedx import states
+from squeezedx import oracle, states
 
 OSC = sx.OscillatorConfig()
 SGR2 = OSC.ground_variance
@@ -169,11 +169,13 @@ def row_tile_plants(n, rng):
 
 class TestTypeInvariants:
     def test_oscillator_rejects_nonpositive_constants(self):
-        # the last three keep m, omega, hbar > 0 but put sigma_gr^2 or the
-        # period out of float range (2 m omega underflows to 0 in the first)
+        # the last four keep m, omega, hbar > 0 but put sigma_gr^2, hbar/(m omega) = 2 sigma_gr^2
+        # (in whose units the propagator reads |psi|) or the period out of float range (2 m omega
+        # underflows to 0 in the first)
         for kwargs in ({"mass": 0.0}, {"angular_frequency": -1.0}, {"hbar": 0.0},
                        {"mass": 5e-324, "angular_frequency": 0.1},
-                       {"mass": 1e-308, "hbar": 1e308}, {"angular_frequency": 1e-320}):
+                       {"mass": 1e-308, "hbar": 1e308}, {"mass": 1e-300, "angular_frequency": 5e-9},
+                       {"angular_frequency": 1e-320}):
             with pytest.raises(sx.InvariantError):
                 sx.OscillatorConfig(**kwargs)
 
@@ -255,19 +257,22 @@ class TestTypeInvariants:
         with pytest.raises(sx.CoverageError, match="resolves momenta"):
             grid.require_coverage(far)
 
-    @pytest.mark.parametrize("mass, widened", [(1.0, False), (1e10, False), (1e16, True)])
-    def test_for_state_keeps_psi_below_the_entry_gate_at_its_edges_in_any_units(
-            self, mass, widened):
-        # |psi| peaks at (2 pi sigma_gr^2 (A0 - dA))^(-1/4): 237 at m = 1e10 and 7.5e3 at
-        # m = 1e16, where 12 maximal standard deviations leave 1.742e-12 at an edge
-        osc = sx.OscillatorConfig(mass=mass)
+    @pytest.mark.parametrize("constants", [
+        {}, {"mass": 1e10}, {"mass": 1e16}, {"mass": 1e20, "hbar": 1e-20},
+        {"mass": 9.109e-31, "angular_frequency": 1e15, "hbar": 1.0546e-34},
+    ], ids=["natural", "m=1e10", "m=1e16", "m=1e20,hbar=1e-20", "electron-si"])
+    def test_for_state_keeps_psi_below_the_entry_gate_at_its_edges_in_any_units(self, constants):
+        # |psi| peaks near 7.5e3 at m = 1e16 and 4.1e4 for the electron; in units of l^(-1/2),
+        # l^2 = hbar/(m omega), as the propagator reads it, 12 maximal standard deviations
+        # leave 1.7e-16 of it at an edge whatever the units
+        osc = sx.OscillatorConfig(**constants)
         spec = sx.GaussianStateSpec(osc, sx.SqueezeDynamics(1.0), sx.CenterTrajectory(
             3.0 * np.sqrt(osc.ground_variance)))
         grid = sx.GridSpec.for_state(spec, 256)
         radius = spec.support_radius(states.GRID_SIGMAS)
-        assert grid.x_max > radius if widened else grid.x_max == radius
+        assert (grid.x_min, grid.x_max) == (-radius, radius)
         edges = sx.eval_pure_wavefunction(spec, grid, 0.0).values[[0, -1]]
-        assert np.abs(edges).max() < states.EDGE_START_TOL
+        assert np.abs(edges).max() * (2.0 * osc.ground_variance) ** 0.25 < oracle.EDGE_START_TOL
 
     def test_wavefunction_sample_rejects_unnormalized(self):
         grid = sx.GridSpec(-8.0, 8.0, 128)
@@ -283,11 +288,11 @@ class TestTypeInvariants:
             sx.DensityMatrixSample(grid=grid, values=np.full((16, 16), np.nan, complex), time=0.0)
 
     def test_density_diagonal_imaginary_part_is_judged_by_the_hermiticity_bound(self):
-        # on the diagonal |rho_ii - conj(rho_ii)| = 2 |Im rho_ii|, so the bound 1e-10 * max(peak, 1)
+        # on the diagonal |rho_ii - conj(rho_ii)| = 2 |Im rho_ii|, so the bound 1e-10 * peak
         # rejects |Im rho_ii| above half of it; a negative real part has its own clause
         spec = sx.GaussianStateSpec(OSC, sx.SqueezeDynamics(1.0))
         dm = sx.eval_pure_density(spec, sx.GridSpec.for_state(spec, n_points=64), 0.0)
-        unit = 1e-10 * max(float(np.abs(dm.values).max()), 1.0)
+        unit = 1e-10 * float(np.abs(dm.values).max())
         for im, ok in ((0.4 * unit, True), (0.75 * unit, False)):
             values = dm.values.copy()
             values[np.diag_indices(64)] += 1j * im
@@ -300,6 +305,16 @@ class TestTypeInvariants:
         values[0, 0] = -1e-9
         with pytest.raises(sx.InvariantError, match="density diagonal must be non-negative"):
             sx.DensityMatrixSample(grid=dm.grid, values=values, time=0.0)
+
+    def test_hermiticity_bound_is_relative_below_a_peak_of_one(self):
+        # a 16-point density on +-5e11 with diagonal 1/sum(w) peaks at 1e-12 with trace 1; a
+        # defect as large as that peak is refused, where an absolute 1e-10 would accept it
+        grid = sx.GridSpec(-5e11, 5e11, 16)
+        values = np.diag(np.full(16, 1.0 / grid.trapezoid_weights().sum())).astype(complex)
+        sx.DensityMatrixSample(grid=grid, values=values, time=0.0)
+        values[0, 5] = 1e-12j
+        with pytest.raises(sx.InvariantError, match=r"max \|rho - rho\^H\| = 1e-12$"):
+            sx.DensityMatrixSample(grid=grid, values=values, time=0.0)
 
     @pytest.mark.parametrize("n", [16, 129, 300])
     def test_hermiticity_check_sees_every_row_tile(self, n):

@@ -230,17 +230,10 @@ class Scenario:
             fids.append(fidelity(psi, eval_pure_wavefunction(self.spec, self.grid, psi.time)))
         return tuple(fids)
 
-    @property
+    @cached_property
     def density_rows(self) -> tuple:
         """``_density_row`` at each sample time, built once per instance, one matrix at a time."""
-        return self.__dict__.get("density_rows") or self._build_rows()
-
-    def _build_rows(self, stopped=lambda: False):
-        """Build and cache ``density_rows``; no row starts once ``stopped()`` is true, and then
-        none is cached.  Not cached_property, whose lock Python 3.11 shares across all
-        instances: two scenarios' rows would build one after the other in the pool."""
-        rows = tuple(_density_row(self, t) for t in self.sample_times if not stopped())
-        return None if stopped() else self.__dict__.setdefault("density_rows", rows)
+        return tuple(_density_row(self, t) for t in self.sample_times)
 
 
 def _parse_scenario(obj: dict) -> Scenario:
@@ -581,19 +574,23 @@ def run_scenarios(scenarios, out_dir: Path, seed: int = DEFAULT_SEED):
     the timeseries' density rows, one task per scenario, which build (releasing the GIL) while
     the pure trajectories step here one at a time: two stepping loops would trade the GIL at
     each step.  A failed step or row stops the row tasks and is raised before any file is
-    written.  Then each scenario in turn writes its products and runs its checks here.
+    written.  The rows are stored here, so no pool thread writes to a scenario.  Then each
+    scenario in turn writes its products and runs its checks here.
     """
     _prepare_out_dir(scenarios, out_dir)
     stop = threading.Event()
+
+    def rows(sc):  # after an error, no task starts another row
+        return tuple(_density_row(sc, t) for t in sc.sample_times if not stop.is_set())
+
     with ThreadPoolExecutor(max_workers=min(4, len(scenarios))) as pool:
-        rows = [pool.submit(sc._build_rows, stop.is_set) for sc in scenarios
-                if "timeseries" in sc.outputs]
+        tasks = [(sc, pool.submit(rows, sc)) for sc in scenarios if "timeseries" in sc.outputs]
         try:
             for sc in scenarios:
                 if sc.steps:
-                    sc.fidelities  # fills the cache, so no worker steps
-            for built in rows:
-                built.result()  # raises a row's error; the rows are now cached on sc
+                    sc.fidelities  # steps the trajectory here, while the rows build
+            for sc, task in tasks:  # stop is still clear, so a finished task built every row
+                object.__setattr__(sc, "density_rows", task.result())
         finally:
-            stop.set()  # after an error, no row task starts another row
+            stop.set()
     return [run_scenario(sc, out_dir, seed) for sc in scenarios]

@@ -400,8 +400,11 @@ def squeeze_from_initial_variance(D: float, osc: OscillatorConfig) -> SqueezeDyn
     if not 0.0 < a_init < np.inf:
         raise InvariantError(f"initial variance must be a positive, finite multiple of "
                              f"sigma_gr^2 = {osc.ground_variance}: D={D}")
-    A0 = 0.5 * (a_init + 1.0 / a_init)
-    dA = 0.5 * abs(a_init - 1.0 / a_init)
+    # A0 = dA + lo rounds once: |P - 1| <~ A(0)^2 eps / 2, inside REDUNDANCY_TOL for A(0) <= 141;
+    # A0 = (a + 1/a)/2 made A0 - dA cancel, and P < 1 - REDUNDANCY_TOL from A(0) = 128
+    lo, hi = sorted((a_init, 1.0 / a_init))
+    dA = 0.5 * (hi - lo)
+    A0 = dA + lo
     phi_sq = 0.0 if a_init >= 1.0 else np.pi
     return SqueezeDynamics(A0=A0, dA=dA, phi_sq=phi_sq)
 

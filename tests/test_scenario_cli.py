@@ -76,9 +76,19 @@ DENSITY_DUMP_DIGESTS = {
         "a9da6630a8eec268c33e72d4b562eb0c943ba478730fbd315624c0d586b6d5dc",
 }
 
+# A displaced pure state with m, omega and hbar all distinct and none 1, and the same state
+# mixed, on their automatic grids; each verify takes well under a second
+DISPLACED_UNITS = {
+    "name": "displaced_units", "oscillator": {"mass": 2.0, "angular_frequency": 3.0, "hbar": 0.5},
+    "squeeze": {"A0": 1.25, "dA": 0.75, "phi_sq": 0.4}, "center": {"X_amp": 0.5, "phi_c": 0.3},
+    "sample_times": [k * 2 * np.pi / 24 for k in range(9)], "outputs": ["verify"]}
+DISPLACED_IN_OTHER_UNITS = {config["name"]: config for config in (
+    DISPLACED_UNITS, dict(DISPLACED_UNITS, name="displaced_mixed_units", sigma_a=0.1))}
+
 # The check lines `squeezedx verify` prints for each bundled scenario, as recorded before the
 # wavefunction and density moments were merged into one quadrature; squeezed_vacuum's
 # ode-residuals value since each residual is read in units of its equation's largest term.
+# Then those of DISPLACED_IN_OTHER_UNITS.
 VERIFY_LINES = {
     "ground_state": [
         "[ground_state] ode-residuals: PASS (max residual = 6.989e-11, tol 1e-06, margin 9.999e-07)",
@@ -106,6 +116,21 @@ VERIFY_LINES = {
         "[mixed_p4] purity-law: PASS (max |purity - P^-1/2| = 1.832e-15, tol 1e-05, margin 1.000e-05)",
         "[mixed_p4] ensemble-agreement: PASS (max peak-relative error at 32 nodes = 2.647e-15, tol 1e-08, "
         "margin 1.000e-08)",
+    ],
+    "displaced_units": [
+        "[displaced_units] ode-residuals: PASS (max residual = 3.194e-10, tol 1e-06, margin 9.997e-07)",
+        "[displaced_units] schrodinger-residual: PASS (max residual = 2.187e-10, tol 1e-05, "
+        "margin 1.000e-05)",
+        "[displaced_units] variance-law: PASS (max rel |var_x - sigma_gr^2 A| = 2.978e-16, tol 1e-08, "
+        "margin 1.000e-08)",
+        "[displaced_units] propagation-fidelity: PASS (max |1 - fidelity| at t > 0 = 8.349e-13, "
+        "tol 1e-06, margin 1.000e-06)",
+    ],
+    "displaced_mixed_units": [
+        "[displaced_mixed_units] purity-law: PASS (max |purity - P^-1/2| = 2.665e-15, tol 1e-05, "
+        "margin 1.000e-05)",
+        "[displaced_mixed_units] ensemble-agreement: PASS (max peak-relative error at 32 nodes = "
+        "1.234e-15, tol 1e-08, margin 1.000e-08)",
     ],
 }
 
@@ -986,6 +1011,32 @@ class TestPool:
         steps.sort()
         assert all(end <= start for (_, end), (start, _) in zip(steps, steps[1:]))
 
+    def test_two_scenarios_rows_build_in_two_pool_threads_at_once(self, tmp_path, monkeypatch):
+        # a sleep inside each row widens the window in which the two tasks overlap.  A task that
+        # read a functools.cached_property would take its lock, which Python 3.11 shares across
+        # all instances, and build one scenario's rows after the other's
+        real_density_at = scenario.density_at
+        rows = []
+
+        def slow_density_at(sc, t):
+            start = time.perf_counter()
+            time.sleep(0.01)
+            try:
+                return real_density_at(sc, t)
+            finally:
+                rows.append((sc.name, threading.get_ident(), start, time.perf_counter()))
+
+        monkeypatch.setattr(scenario, "density_at", slow_density_at)
+        configs = [dict(FAST_MIXED, name=name, outputs=["timeseries"]) for name in "ab"]
+        scenarios = parse_config(json.dumps({"scenarios": configs}))
+        scenario.run_scenarios(scenarios, tmp_path)
+        a, b = ([row for row in rows if row[0] == name] for name in "ab")
+        assert len(a) == len(b) == len(scenarios[0].sample_times)
+        threads = [{thread for _, thread, _, _ in side} for side in (a, b)]
+        assert all(len(t) == 1 for t in threads) and threads[0] != threads[1]
+        assert threading.get_ident() not in threads[0] | threads[1]
+        assert any(s1 < e2 and s2 < e1 for _, _, s1, e1 in a for _, _, s2, e2 in b)
+
     def test_pooled_products_match_serial_runs(self, tmp_path):
         scenarios = small_pure_scenarios()
         pooled = scenario.run_scenarios(scenarios, tmp_path / "pool")
@@ -1085,6 +1136,26 @@ class TestVerify:
         assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if "ode-residuals" in ln]
         assert line.startswith("[wide] ode-residuals: PASS (max residual = ")
+
+    def test_a_squeeze_near_the_grid_bound_is_not_refused_as_impure(self, tmp_path, capsys):
+        # A(0) = 128.1 on its 3916-point automatic grid: A0 - dA cancelled, so the parser
+        # refused it with "(A0+dA)(A0-dA) >= 1 violated: product=0.9999999999985789"
+        cfg = tmp_path / "strong.json"
+        cfg.write_text(json.dumps({"name": "s", "squeeze": {"initial_variance_D": 64.05},
+                                   "outputs": ["verify"]}))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(": PASS (" in line for line in lines), lines
+
+    @pytest.mark.parametrize("name", sorted(DISPLACED_IN_OTHER_UNITS))
+    def test_a_displaced_state_in_other_units_prints_recorded_check_lines(
+            self, name, tmp_path, capsys):
+        cfg = tmp_path / "sc.json"
+        cfg.write_text(json.dumps(DISPLACED_IN_OTHER_UNITS[name]))
+        assert cli.main(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == VERIFY_LINES[name]
+        assert captured.err == ""
 
     def test_failing_check_fails_the_scenario(self, tmp_path):
         # the three-point Laplacian at n=256 leaves 1 - fidelity = 5.686e-05 against 1e-6

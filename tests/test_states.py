@@ -392,6 +392,15 @@ class TestSqueezeFromInitialVariance:
         with pytest.raises(sx.InvariantError):  # D / sigma_gr^2 underflows to 0
             sx.squeeze_from_initial_variance(5e-324, sx.OscillatorConfig(mass=1e-11))
 
+    def test_every_squeeze_the_automatic_grid_admits_is_pure(self):
+        # (a + 1/a)/2 - |a - 1/a|/2 cancelled: from A(0) = 128 some were refused, P < 1 - 1e-12,
+        # or read as mixed; the automatic grid refuses A(0) = 136 or 1/136 itself
+        for a in np.linspace(1.0, 136.0, 2001):
+            for a_init in (a, 1.0 / a):
+                sq = sx.squeeze_from_initial_variance(a_init * SGR2, OSC)
+                assert sq.is_pure, (a_init, sq.purity_product)
+                assert sq.A0 + sq.dA == pytest.approx(max(a_init, 1.0 / a_init), rel=1e-15)
+
     @given(d_ratio=st.floats(0.05, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_reproduces_requested_initial_variance(self, d_ratio):
